@@ -8,8 +8,13 @@ itself:
   for both tick engines (``backend="reference"`` and ``"fast"``) with
   the fingerprints asserted bit-identical, plus the resulting speedup;
 * **paper scale** -- the fast backend at the paper's full 1,000-server
-  cluster over a two-day trace (the "sweep point" a laptop study
-  iterates on), with its wall-clock recorded against a 10 s target;
+  cluster over a two-day trace at GV 14, 22, 30 and 36 (the points a
+  laptop study iterates on, from heavy hot-group overflow to a hot
+  group spanning every server), each recorded against a 10 s target;
+* **sweep points** -- every point of the GV sweep plus its round-robin
+  baseline run alone on the fast backend, with the kernel path it took
+  and, for VMT-TA, the hot-group size and the share of ticks whose
+  demand overflows a group (those ticks take the spill passes);
 * **sweep wall-clock** -- a GV sweep through the
   :class:`~repro.perf.runner.ExperimentRunner` run serially, through
   the process pool, and through the thread pool (threads share the
@@ -24,8 +29,10 @@ Results go to ``BENCH_perf.json``.  Parallel speedup is only meaningful
 with real cores: the JSON records ``cpu_count`` so a 1-core container
 reporting ~1x is legible as an environment limit, not a regression.
 The exit status is the CI gate: nonzero when the backends disagree on a
-single bit, when a sweep mode changes a result, or when the measured
-fast-vs-reference speedup falls below ``--min-speedup``.
+single bit, when a sweep mode changes a result, when the measured
+fast-vs-reference speedup falls below ``--min-speedup``, or when a clean
+VMT-TA or round-robin point (sweep or paper scale) takes a kernel path
+other than ``planned``.
 
 Run::
 
@@ -40,23 +47,57 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from typing import Optional
 
 from repro.analysis.sweep import gv_sweep
 from repro.config import TraceConfig, paper_cluster_config
 from repro.core.policies import make_scheduler
 from repro.cluster.simulation import ClusterSimulation
-from repro.perf.cache import clear_shared_cache
+from repro.perf.cache import clear_shared_cache, shared_trace
 from repro.perf.timing import interleaved_best, time_call
+from repro.workloads.workload import COLD_INDICES, HOT_INDICES
 
 BACKENDS = ("reference", "fast")
 
+#: Grouping values of the paper-scale points.
+PAPER_GVS = (14.0, 22.0, 30.0, 36.0)
 
-def run_once(num_servers: int, hours: float, seed: int,
-             backend: str) -> dict:
+
+def sweep_gvs(points: int) -> list:
+    """The GV sweep's points: 14, 16, 18, ..."""
+    return [14.0 + 2.0 * i for i in range(points)]
+
+
+def make_config(num_servers: int, seed: int, grouping_value: float = 22.0,
+                hours: Optional[float] = None):
+    """The paper config; ``hours`` replaces its two-day trace."""
+    config = paper_cluster_config(num_servers=num_servers,
+                                  grouping_value=grouping_value, seed=seed)
+    if hours is not None:
+        config = config.replace(trace=TraceConfig(duration_hours=hours))
+    return config
+
+
+def group_load(config) -> dict:
+    """VMT-TA's hot-group size and its share of group-overflow ticks.
+
+    A tick overflows when its hot (cold) demand exceeds the hot (cold)
+    group's cores; VMT-TA then spills the excess into the other group.
+    """
+    hot = make_scheduler("vmt-ta", config).sizer.hot_size
+    cores = config.server.cores
+    counts = shared_trace(config).counts
+    hot_tot = counts[:, list(HOT_INDICES)].sum(axis=1)
+    cold_tot = counts[:, list(COLD_INDICES)].sum(axis=1)
+    spill = ((hot_tot > hot * cores)
+             | (cold_tot > (config.num_servers - hot) * cores))
+    return {"hot_size": hot,
+            "spill_tick_pct": 100.0 * float(spill.mean())}
+
+
+def run_once(config, backend: str, policy: str = "vmt-ta") -> dict:
     """Wall-clock one serial run; return ticks/sec and the fingerprint."""
-    config = paper_cluster_config(num_servers=num_servers, seed=seed)
-    config = config.replace(trace=TraceConfig(duration_hours=hours))
-    sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
+    sim = ClusterSimulation(config, make_scheduler(policy, config),
                             record_heatmaps=False, backend=backend)
     ticks = sim.trace.num_steps
     elapsed, result = time_call(sim.run)
@@ -72,9 +113,9 @@ def run_once(num_servers: int, hours: float, seed: int,
 def measure_tick_rate(num_servers: int, hours: float, seed: int,
                       backends: tuple, repeats: int) -> dict:
     """Best-of-N tick rate per backend, interleaved, plus the speedup."""
+    config = make_config(num_servers, seed, hours=hours)
     best = interleaved_best(
-        {backend: (lambda backend=backend: run_once(
-            num_servers, hours, seed, backend))
+        {backend: (lambda backend=backend: run_once(config, backend))
          for backend in backends},
         repeats=repeats, key="wall_s")
     payload = {
@@ -94,23 +135,54 @@ def measure_tick_rate(num_servers: int, hours: float, seed: int,
 def measure_paper_scale(num_servers: int, hours: float, seed: int,
                         repeats: int) -> dict:
     """The fast backend at full paper scale, against a 10 s target."""
+    configs = {f"{gv:g}": make_config(num_servers, seed, gv, hours)
+               for gv in PAPER_GVS}
     best = interleaved_best(
-        {"fast": lambda: run_once(num_servers, hours, seed, "fast")},
-        repeats=repeats, key="wall_s")["fast"]
+        {name: (lambda config=config: run_once(config, "fast"))
+         for name, config in configs.items()},
+        repeats=repeats, key="wall_s")
+    points = {name: {**group_load(config), **best[name]}
+              for name, config in configs.items()}
     return {
         "num_servers": num_servers,
         "hours": hours,
         "repeats": repeats,
         "target_s": 10.0,
-        "under_target": best["wall_s"] < 10.0,
-        **best,
+        "under_target": all(p["wall_s"] < 10.0 for p in points.values()),
+        "points": points,
+    }
+
+
+def measure_sweep_points(num_servers: int, points: int, seed: int,
+                         repeats: int) -> dict:
+    """Each sweep point run alone on the fast backend, with its path."""
+    configs = {f"{gv:g}": make_config(num_servers, seed, gv)
+               for gv in sweep_gvs(points)}
+    baseline = make_config(num_servers, seed)
+    cases = {"round-robin": lambda: run_once(baseline, "fast",
+                                             policy="round-robin")}
+    cases.update({name: (lambda config=config: run_once(config, "fast"))
+                  for name, config in configs.items()})
+    best = interleaved_best(cases, repeats=repeats, key="wall_s")
+    rows = {}
+    for name, run in best.items():
+        row = ({"policy": "round-robin"} if name == "round-robin"
+               else {"policy": "vmt-ta", **group_load(configs[name])})
+        rows[name] = {**row, "wall_s": run["wall_s"],
+                      "kernel_path": run["kernel_path"]}
+    return {
+        "num_servers": num_servers,
+        "repeats": repeats,
+        "all_planned": all(row["kernel_path"] == "planned"
+                           for row in rows.values()),
+        "points": rows,
     }
 
 
 def measure_sweep(num_servers: int, points: int, workers: int, seed: int,
                   backend: str, repeats: int) -> dict:
     """Time one GV sweep serially vs the process and thread pools."""
-    gvs = [14.0 + 2.0 * i for i in range(points)]
+    gvs = sweep_gvs(points)
 
     def run_mode(max_workers, workers_mode):
         clear_shared_cache()
@@ -190,21 +262,46 @@ def main() -> int:
         print(f"  {backend:>9}: {run['ticks']} ticks in "
               f"{run['wall_s']:.3f} s = {run['ticks_per_sec']:,.0f} "
               f"ticks/sec (path: {run['kernel_path']})")
-    ok = True
+    # The tick-rate run is a clean VMT-TA run: fast must plan it.
+    ok = ("fast" not in backends
+          or tick["backends"]["fast"]["kernel_path"] == "planned")
     if len(backends) == 2:
         print(f"  speedup {tick['speedup']:.2f}x, bit-identical: "
               f"{tick['bit_identical']}")
-        ok = tick["bit_identical"] and tick["speedup"] >= args.min_speedup
+        ok = (ok and tick["bit_identical"]
+              and tick["speedup"] >= args.min_speedup)
 
     paper = None
     if args.paper_servers > 0:
         print(f"paper scale: {args.paper_servers} servers, "
-              f"{args.paper_hours:g} h, fast backend ...")
+              f"{args.paper_hours:g} h, fast backend, GV "
+              f"{'/'.join(f'{gv:g}' for gv in PAPER_GVS)} ...")
         paper = measure_paper_scale(args.paper_servers, args.paper_hours,
                                     args.seed, args.repeats)
-        print(f"  {paper['ticks']} ticks in {paper['wall_s']:.2f} s "
-              f"(target < {paper['target_s']:g} s: "
-              f"{paper['under_target']})")
+        for gv, point in paper["points"].items():
+            print(f"  GV {gv:>2}: {point['ticks']} ticks in "
+                  f"{point['wall_s']:.2f} s (hot {point['hot_size']}, "
+                  f"{point['spill_tick_pct']:.0f}% spill ticks, path: "
+                  f"{point['kernel_path']})")
+            ok = ok and point["kernel_path"] == "planned"
+        print(f"  target < {paper['target_s']:g} s: "
+              f"{paper['under_target']}")
+
+    print(f"sweep points: {args.points} GVs + round-robin, "
+          f"{args.servers} servers, fast backend, each run alone ...")
+    points = measure_sweep_points(args.servers, args.points, args.seed,
+                                  args.repeats)
+    for name, row in points["points"].items():
+        label = "round-robin" if name == "round-robin" else f"GV {name}"
+        detail = ("" if name == "round-robin" else
+                  f" (hot {row['hot_size']}, "
+                  f"{row['spill_tick_pct']:.0f}% spill ticks)")
+        print(f"  {label:>11}: {row['wall_s']:.3f} s, path: "
+              f"{row['kernel_path']}{detail}")
+    if not points["all_planned"]:
+        print("  FAIL: a clean VMT-TA or round-robin point left the "
+              "planned kernel")
+    ok = ok and points["all_planned"]
 
     sweep_backend = "fast" if args.backend == "both" else args.backend
     print(f"sweep: {args.points} GV points, {sweep_backend} backend, "
@@ -220,6 +317,7 @@ def main() -> int:
     payload = {
         "cpu_count": os.cpu_count(),
         "tick_rate": tick,
+        "sweep_points": points,
         "sweep": sweep,
     }
     if paper is not None:

@@ -131,8 +131,8 @@ class MetricsCollector:
     def fill_block(self, *, times_s: np.ndarray,
                    cooling_load_w: np.ndarray, it_power_w: np.ndarray,
                    wax_absorption_w: np.ndarray, mean_temp_c: np.ndarray,
-                   hot_group_mean_temp_c: np.ndarray,
-                   cold_group_mean_temp_c: np.ndarray,
+                   hot_group_mean_temp_c: Optional[np.ndarray],
+                   cold_group_mean_temp_c: Optional[np.ndarray],
                    mean_melt_fraction: np.ndarray, hot_group_size: int,
                    jobs: np.ndarray, max_cpu_temp_c: np.ndarray,
                    temp_map: Optional[np.ndarray] = None,
@@ -142,8 +142,9 @@ class MetricsCollector:
         The fast-path kernel computes every series as a column; this
         stores them straight into the preallocated buffers with no
         per-tick python, exactly as ``record`` would have, with the
-        fault-only columns at their fault-free defaults.  Only valid on
-        a fresh collector.
+        fault-only columns at their fault-free defaults.  A group mean
+        of ``None`` records NaN, as ``record`` does for an empty group.
+        Only valid on a fresh collector.
         """
         if self._size != 0:
             raise SimulationError(
@@ -157,8 +158,12 @@ class MetricsCollector:
         series["it_power_w"][:size] = it_power_w
         series["wax_absorption_w"][:size] = wax_absorption_w
         series["mean_temp_c"][:size] = mean_temp_c
-        series["hot_group_mean_temp_c"][:size] = hot_group_mean_temp_c
-        series["cold_group_mean_temp_c"][:size] = cold_group_mean_temp_c
+        series["hot_group_mean_temp_c"][:size] = (
+            np.nan if hot_group_mean_temp_c is None
+            else hot_group_mean_temp_c)
+        series["cold_group_mean_temp_c"][:size] = (
+            np.nan if cold_group_mean_temp_c is None
+            else cold_group_mean_temp_c)
         series["mean_melt_fraction"][:size] = mean_melt_fraction
         series["hot_group_size"][:size] = hot_group_size
         series["jobs"][:size] = jobs

@@ -110,7 +110,7 @@ class VMTThermalAwareScheduler(Scheduler):
         shortfall = fit - int(taken.sum())
         if shortfall > 0:
             leftovers = demand_part - taken
-            order = np.argsort(-leftovers)
+            order = np.argsort(-leftovers, kind="stable")
             for idx in order:
                 grab = min(shortfall, int(leftovers[idx]))
                 taken[idx] += grab

@@ -17,9 +17,9 @@ globally via the ``REPRO_BACKEND`` environment variable.  The fast
 backend dispatches to the most aggressive kernel whose preconditions the
 run satisfies:
 
-* :mod:`.planned` -- whole-run batched kernel for clean VMT-TA runs
-  (the open-loop policy: placement depends only on static group sizing,
-  so the entire run is plannable up front);
+* :mod:`.planned` -- whole-run batched kernel for every clean open-loop
+  run: VMT-TA at any grouping value and round-robin, whose placement
+  never reads thermal feedback, so the entire run is plannable up front;
 * :mod:`.stepped` -- the reference tick loop driven directly, without
   the event heap, per-tick re-validation, or dict plumbing (all
   policies, checkpoints, sanitizer, observers);

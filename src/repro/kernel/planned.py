@@ -1,12 +1,12 @@
-"""Whole-run batched kernel for clean VMT-TA simulations.
+"""Whole-run batched kernel for every clean open-loop simulation.
 
-VMT-TA is the paper's open-loop policy: the hot/cold split is fixed by
-the grouping value (Eqs. 1-2) and placement depends only on the demand
-trace and the scheduler's private RNG -- never on temperatures, wax
-state, or faults.  That makes the entire run *plannable*: every tick's
-allocation can be computed up front, and the remaining physics chain is
-either elementwise (batchable across all ticks at once) or a cheap
-recurrence.
+Two policies are open-loop: VMT-TA, whose hot/cold split is fixed by the
+grouping value (Eqs. 1-2), and the round-robin baseline.  Their placement
+depends only on the demand trace and the scheduler's private RNG --
+never on temperatures, wax state, or faults.  That makes the entire run
+*plannable*: every tick's allocation can be computed up front, and the
+remaining physics chain is either elementwise (batchable across all
+ticks at once) or a cheap recurrence.
 
 The kernel preserves bit-identity with the reference path by
 construction:
@@ -14,15 +14,24 @@ construction:
 * **RNG**: each consumer draws from its own named stream, so streams can
   be consumed in any relative order.  Batched ``normal(0, s, (T, n))``
   draws the exact same values (and leaves the same generator state) as
-  ``T`` sequential ``(n,)`` draws.  The scheduler's shuffle sequence is
+  ``T`` sequential ``(n,)`` draws.  The scheduler's own draws are
   replayed tick by tick in reference order.
-* **Placement**: ``waterfill_quotas`` over a fault-free uniform-capacity
-  group has a closed form (level = total // m, remainder rotated by the
-  tick index), and ``deal_types``'s round-robin slot order becomes a
-  precomputed key array; ``bincount`` then reproduces the reference
-  allocation integer-for-integer.  Ticks that spill across groups are
-  replayed through the scheduler's own 4-pass spill placement (same RNG
-  draws, same tie offsets), so only overflowing ticks pay python cost.
+* **VMT-TA placement** (:func:`plan_vmt_ta`): on a fault-free group of
+  equal-capacity servers each of the scheduler's four passes has a
+  closed form.  The own-group passes (hot->hot, cold->cold) are
+  ``waterfill_quotas``'s even level plus a remainder rotated by the tick
+  index -- an overflowing group gets every core -- and the proportional
+  slice an overflowing group keeps vectorizes across ticks.  The spill
+  passes (hot->cold, cold->hot) waterfill over the two-valued residual
+  capacities the own-group pass leaves.  ``deal_types``'s round-robin
+  slot order becomes precomputed key arrays, and ``bincount`` then
+  reproduces the reference allocation integer-for-integer.  Each pass
+  that places a job shuffles once, in reference order, and nothing else
+  is drawn.  Either group may be empty (hot size ``0`` or ``n``).
+* **Round-robin placement**: job persistence and churn make it a per-tick
+  recurrence, but it never reads the sensed state, so the scheduler's
+  own ``place`` runs tick by tick against one fixed fault-free view --
+  same draws, same conservation checks, same end state.
 * **Physics**: every expression is applied with the same IEEE-754
   operation order per element as the reference models; only the loop
   structure changes (elementwise ops are batched across ticks, the
@@ -32,13 +41,14 @@ construction:
   over C-contiguous rows (``block.mean(axis=1)``) use the same pairwise
   summation, so recorded series match bitwise;
   :meth:`MetricsCollector.fill_block` writes them into the same buffers
-  ``record`` would have filled.
+  ``record`` would have filled, NaN where a group is empty.
 
-What stays python: the planning loop (one shuffle + bincount per
-populated group per tick) and the state recurrences.  Everything else --
-power model, air targets, junction temps, sensor/estimator noise,
-enthalpy-delta heat flow, melt-fraction truth, every recorded series --
-is a handful of whole-run numpy kernels over preallocated blocks.
+What stays python: the planning loop (per tick, one shuffle per placing
+pass and one bincount for VMT-TA; the scheduler's ``place`` for
+round-robin) and the state recurrences.  Everything else -- power model,
+air targets, junction temps, sensor/estimator noise, enthalpy-delta heat
+flow, melt-fraction truth, every recorded series -- is a handful of
+whole-run numpy kernels over preallocated blocks.
 """
 
 from __future__ import annotations
@@ -49,6 +59,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..cluster.state import ClusterView
+from ..core.round_robin import RoundRobinScheduler
+from ..core.vmt_ta import VMTThermalAwareScheduler
 from ..workloads.workload import COLD_INDICES, HOT_INDICES, WORKLOAD_LIST
 
 _K = len(WORKLOAD_LIST)
@@ -67,14 +80,14 @@ def try_run(sim) -> Optional["SimulationResult"]:
     """Run ``sim`` through the planned kernel, or return ``None``.
 
     Eligibility mirrors exactly the situations where planning ahead is
-    provably equivalent: a fresh, clean VMT-TA run -- no faults, no
-    sanitizer, no telemetry/observers/checkpoints, no ambient profile,
-    no mid-run restore.
+    provably equivalent: a fresh, clean open-loop run (VMT-TA at any
+    grouping value, or round-robin) -- no faults, no sanitizer, no
+    telemetry/observers/checkpoints, no ambient profile, no mid-run
+    restore, and no tick demanding more cores than the cluster has (the
+    reference scheduler raises there).
     """
-    from ..core.vmt_ta import VMTThermalAwareScheduler
-
-    sched = sim._scheduler
-    if type(sched) is not VMTThermalAwareScheduler:
+    if type(sim._scheduler) not in (VMTThermalAwareScheduler,
+                                    RoundRobinScheduler):
         return None
     cluster = sim._cluster
     if (sim._injector is not None
@@ -96,27 +109,205 @@ def try_run(sim) -> Optional["SimulationResult"]:
         # branches (zero heat flow, step-function melt fraction) that
         # are not worth mirroring here.
         return None
-    num_servers = config.num_servers
-    hot_size = sched.sizer.hot_size
-    if not 0 < hot_size < num_servers:
-        return None
     counts = sim._trace._counts
-    if counts.shape[0] == 0:
+    if (counts.shape[0] == 0
+            or int(counts.sum(axis=1).max()) > config.total_cores):
         return None
-    cores = config.server.cores
-    hot_tot = counts[:, list(HOT_INDICES)].sum(axis=1)
-    cold_tot = counts[:, list(COLD_INDICES)].sum(axis=1)
-    # Ticks whose demand overflows a group engage the scheduler's
-    # cross-group spill passes; the plan loop replays those ticks
-    # through the scheduler's own ``_place_group`` (same RNG draws,
-    # same tie offsets) and keeps the closed form for the rest.
-    spill = ((hot_tot > hot_size * cores)
-             | (cold_tot > (num_servers - hot_size) * cores))
-    return _run(sim, hot_tot, cold_tot, spill)
+    return _run(sim)
 
 
-def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
-         spill: np.ndarray):
+def _fitted_slice(rows: np.ndarray, capacity: int) -> np.ndarray:
+    """The part of each tick's demand an own-group pass places.
+
+    ``VMTThermalAwareScheduler._place_group`` on a group of ``capacity``
+    free cores, vectorized across ticks: all of it when the demand fits;
+    otherwise each workload's proportional share rounded down, with the
+    shortfall granted in order of larger leftover first (lower workload
+    index on ties).
+    """
+    totals = rows.sum(axis=1)
+    fit = np.minimum(totals, capacity)
+    taken = np.minimum(
+        rows, rows * fit[:, None] // np.maximum(totals, 1)[:, None])
+    shortfall = fit - taken.sum(axis=1)
+    if shortfall.any():
+        leftovers = rows - taken
+        order = np.argsort(-leftovers, axis=1, kind="stable")
+        ranked = np.take_along_axis(leftovers, order, axis=1)
+        before = np.cumsum(ranked, axis=1) - ranked
+        grab = np.clip(shortfall[:, None] - before, 0, ranked)
+        np.put_along_axis(
+            taken, order,
+            np.take_along_axis(taken, order, axis=1) + grab, axis=1)
+    return taken
+
+
+def _group_pass(taken: np.ndarray, base: int, m: int, cores: int,
+                ticks: np.ndarray,
+                own_totals: Optional[np.ndarray] = None) -> tuple:
+    """Per-tick dealing parameters of one VMT-TA pass into a group.
+
+    The group is the ``m`` servers from id ``base``; ``taken`` holds the
+    ``(T, K)`` jobs the pass places.  An own-group pass deals onto free
+    servers.  A spill pass (``own_totals``: what the group's own pass
+    placed per tick) deals onto the residual that pass left, which keeps
+    the even closed form -- level ``total // m``, remainder rotated from
+    ``tick % m`` -- unless the spill fills past the lower residual
+    capacity; those ticks are flagged for :func:`_spill_keys`.
+    """
+    totals = taken.sum(axis=1)
+    keys = (base + np.arange(m, dtype=np.int64)) * _K
+    levels, rems = np.divmod(totals, m)
+    wide = own_levels = own_rems = None
+    if own_totals is not None:
+        own_level, own_rem = np.divmod(own_totals, m)
+        flags = (own_rem > 0) & (levels >= cores - own_level - 1)
+        if flags.any():
+            wide = flags.tolist()
+            own_levels = own_level.tolist()
+            own_rems = own_rem.tolist()
+    return (totals.tolist(), list(taken), (levels * m).tolist(),
+            rems.tolist(), (ticks % m).tolist(), keys,
+            np.tile(keys, cores), m, wide, own_levels, own_rems)
+
+
+def _spill_keys(keys: np.ndarray, tile: np.ndarray, cores: int,
+                own_level: int, own_rem: int, total: int,
+                tick: int) -> np.ndarray:
+    """Dealing order of a spill pass that fills past the lower residual.
+
+    The group's own pass left ``cores - own_level - 1`` free cores on its
+    ``own_rem`` remainder servers (rotated from ``tick % m``) and
+    ``cores - own_level`` on the rest.  ``waterfill_quotas`` saturates
+    the former, levels the latter, and hands the leftover to the latter
+    rotated by ``tick``; dealing takes the common rounds, then the
+    levelled rounds, then the leftover servers in ascending order.
+    """
+    m = len(keys)
+    low = cores - own_level - 1
+    start = tick % m
+    stop = start + own_rem
+    high = np.ones(m, dtype=bool)
+    high[start:stop] = False
+    high[:max(0, stop - m)] = False
+    high_keys = keys[high]
+    level, rem = divmod(total - own_rem * low, len(high_keys))
+    leftover = np.sort(np.roll(high_keys, -(tick % len(high_keys)))[:rem])
+    return np.concatenate((tile[:low * m], np.tile(high_keys, level - low),
+                           leftover))
+
+
+def plan_vmt_ta(counts: np.ndarray, num_servers: int, cores: int,
+                hot_size: int, rng: np.random.Generator, *,
+                first_tick: int = 0, deadline=None) -> np.ndarray:
+    """VMT-TA's allocation at every tick of ``counts``, as one block.
+
+    Row ``t`` is the flattened ``(num_servers, K)`` allocation
+    :meth:`VMTThermalAwareScheduler.place` makes at tick
+    ``first_tick + t`` on a fault-free view of ``num_servers`` servers
+    with ``cores`` cores each and the hot group on the first
+    ``hot_size`` of them (any size in ``[0, num_servers]``).  ``rng`` is
+    drawn exactly as the scheduler draws its own.  Every row's demand
+    must fit the cluster.
+    """
+    T = counts.shape[0]
+    n = num_servers
+    ticks = np.arange(first_tick, first_tick + T)
+    hot_cols = list(HOT_INDICES)
+    cold_cols = list(COLD_INDICES)
+    hot_rows = np.zeros((T, _K), dtype=np.int64)
+    hot_rows[:, hot_cols] = counts[:, hot_cols]
+    cold_rows = np.zeros((T, _K), dtype=np.int64)
+    cold_rows[:, cold_cols] = counts[:, cold_cols]
+    cold_size = n - hot_size
+    hot_own = _fitted_slice(hot_rows, hot_size * cores)
+    cold_own = _fitted_slice(cold_rows, cold_size * cores)
+    # Reference pass order: hot->hot, cold->cold, hot->cold, cold->hot.
+    # An empty group places nothing, so its passes never deal.
+    passes = []
+    if hot_size:
+        passes.append(_group_pass(hot_own, 0, hot_size, cores, ticks))
+    if cold_size:
+        passes.append(_group_pass(cold_own, hot_size, cold_size, cores,
+                                  ticks))
+        passes.append(_group_pass(hot_rows - hot_own, hot_size, cold_size,
+                                  cores, ticks, cold_own.sum(axis=1)))
+    if hot_size:
+        passes.append(_group_pass(cold_rows - cold_own, 0, hot_size, cores,
+                                  ticks, hot_own.sum(axis=1)))
+
+    # All ticks' allocations in one float block so the dynamic-power
+    # matmul runs once, batched (bitwise identical to per-tick matmuls).
+    block = np.zeros((T, n * _K))
+    block_rows = list(block)
+    # Per-tick scratch stays a few KB, i.e. cache-resident: building
+    # each pass's type list fresh beats materializing tick blocks up
+    # front, which would stream tens of MB through memory instead.
+    key_buf = np.empty(n * cores, dtype=np.int64)
+    ar5 = np.arange(_K)
+    add = np.add
+    bincount = np.bincount
+    copyto = np.copyto
+    shuffle = rng.shuffle
+    repeat = np.repeat
+    width = n * _K
+    # Each pass's tick work: the exact unshuffled type list deal_types
+    # builds, shuffled in place (same stream consumption and bits as
+    # rng.permutation on a fresh copy), dealt against the waterfill
+    # closed form -- an even level plus a remainder rotated by the tick
+    # index, dealt all-servers-ascending per full round and then the
+    # remainder servers in ascending index order.
+    for t in range(T):
+        if deadline is not None and not (t & 255):
+            deadline.check()
+        fill = 0
+        for (tots, taken, lms, rems, starts, keys, tile, m, wide,
+             own_levels, own_rems) in passes:
+            tot = tots[t]
+            if not tot:
+                continue
+            types = repeat(ar5, taken[t])
+            shuffle(types)
+            seg = key_buf[fill:fill + tot]
+            fill += tot
+            rem = rems[t]
+            if wide is not None and wide[t]:
+                add(_spill_keys(keys, tile, cores, own_levels[t],
+                                own_rems[t], tot, first_tick + t),
+                    types, out=seg)
+            elif rem == 0:
+                add(tile[:tot], types, out=seg)
+            else:
+                lm = lms[t]
+                seg[:lm] = tile[:lm]
+                start = starts[t]
+                stop = start + rem
+                if stop <= m:
+                    seg[lm:] = keys[start:stop]
+                else:
+                    wrap = stop - m
+                    seg[lm:lm + wrap] = keys[:wrap]
+                    seg[lm + wrap:] = keys[start:]
+                add(seg, types, out=seg)
+        if fill:
+            copyto(block_rows[t], bincount(key_buf[:fill], minlength=width))
+    return block
+
+
+def _plan_round_robin(sched: RoundRobinScheduler, counts: np.ndarray,
+                      view: ClusterView, deadline=None) -> np.ndarray:
+    """Round-robin's allocation at every tick, from its own ``place``."""
+    T = counts.shape[0]
+    block = np.empty((T, view.num_servers * _K))
+    place = sched.place
+    for t in range(T):
+        if deadline is not None and not (t & 255):
+            deadline.check()
+        block[t] = place(counts[t], view).allocation.reshape(-1)
+    return block
+
+
+def _run(sim):
     prof = sim._profiler
     clock = time.perf_counter
     setup_start = clock()
@@ -140,7 +331,6 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     T = counts.shape[0]
     dt = sim._trace.step_seconds
     cores = config.server.cores
-    hs = sched.sizer.hot_size
 
     thermal = config.thermal
     inlet = air._inlet  # fixed: no ambient profile, no cooling derates
@@ -161,124 +351,22 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     # A fresh reference run resets the scheduler before the first tick.
     sched.reset()
 
-    # ---- plan: replay the dealer for every tick --------------------------
+    # ---- plan: replay the placement for every tick -----------------------
     plan_start = clock()
-    rng = sched._rng
-    pcp = cluster._per_core_power
-    hot_cols = list(HOT_INDICES)
-    cold_cols = list(COLD_INDICES)
-    hot_rows = np.zeros((T, _K), dtype=np.int64)
-    hot_rows[:, hot_cols] = counts[:, hot_cols]
-    cold_rows = np.zeros((T, _K), dtype=np.int64)
-    cold_rows[:, cold_cols] = counts[:, cold_cols]
-    ar5 = np.arange(_K)
-    # Per-group constants: the bincount key of each server (its offset
-    # into the flat (n, K) allocation row) and the full-rounds
-    # dealing-order keys (all servers ascending, one pass per level).
-    groups = []
-    for base, m, totals, rows in ((0, hs, hot_tot, hot_rows),
-                                  (hs, n - hs, cold_tot, cold_rows)):
-        key_of_server = (base + np.arange(m, dtype=np.int64)) * _K
-        base_tile = np.tile(key_of_server, cores)
-        level, rem = np.divmod(totals, m)
-        groups.append((totals.tolist(), (level * m).tolist(),
-                       rem.tolist(), m, list(rows), base_tile,
-                       key_of_server))
-    (hot_tots, hot_lms, hot_rems, hot_m, hot_rows_l, hot_base,
-     hot_keys) = groups[0]
-    (cold_tots, cold_lms, cold_rems, cold_m, cold_rows_l, cold_base,
-     cold_keys) = groups[1]
-    # All ticks' allocations in one float block so the dynamic-power
-    # matmul runs once, batched (bitwise identical to per-tick matmuls).
-    alloc_block = np.zeros((T, n * _K))
-    alloc_rows = list(alloc_block)
-    key_buf = np.empty(n * cores, dtype=np.int64)
-    add = np.add
-    bincount = np.bincount
-    copyto = np.copyto
-    shuffle = rng.shuffle
-    repeat = np.repeat
-    width = n * _K
-    # Spill-tick scratch: the reference scheduler's own 4-pass spill
-    # placement runs against these, with ``sched._tick`` pinned to the
-    # tick so tie offsets and RNG draws match the reference loop.
-    spill_list = spill.tolist()
-    hot_ids = np.flatnonzero(sched.sizer.hot_mask())
-    cold_ids = np.flatnonzero(~sched.sizer.hot_mask())
-    free_buf = np.empty(n, dtype=np.int64)
-    alloc2d = np.zeros((n, _K), dtype=np.int64)
-    alloc2d_flat = alloc2d.reshape(-1)
-    place_group = sched._place_group
-    hot_rows_arr = hot_rows
-    cold_rows_arr = cold_rows
-    # Per-tick scratch stays a few KB, i.e. cache-resident: building
-    # each tick's type list fresh beats materializing tick blocks up
-    # front, which would stream tens of MB through memory instead.
-    # Each group's tick work: the exact unshuffled type list deal_types
-    # builds, shuffled in place (same stream consumption and bits as
-    # rng.permutation on a fresh copy), dealt against the waterfill
-    # closed form -- an even level plus a remainder rotated by the tick
-    # index, dealt all-servers-ascending per full round and then the
-    # remainder servers in ascending index order.
-    for t in range(T):
-        if deadline is not None and not (t & 255):
-            deadline.check()
-        if spill_list[t]:
-            sched._tick = t
-            free_buf.fill(cores)
-            alloc2d.fill(0)
-            hot_d = hot_rows_arr[t].copy()
-            cold_d = cold_rows_arr[t].copy()
-            place_group(hot_d, hot_ids, free_buf, alloc2d)
-            place_group(cold_d, cold_ids, free_buf, alloc2d)
-            place_group(hot_d, cold_ids, free_buf, alloc2d)
-            place_group(cold_d, hot_ids, free_buf, alloc2d)
-            alloc_rows[t][:] = alloc2d_flat
-            continue
-        fill = tot = hot_tots[t]
-        if tot:
-            types = repeat(ar5, hot_rows_l[t])
-            shuffle(types)
-            seg = key_buf[:tot]
-            if hot_rems[t] == 0:
-                add(hot_base[:tot], types, out=seg)
-            else:
-                lm = hot_lms[t]
-                seg[:lm] = hot_base[:lm]
-                start = t % hot_m
-                end = start + hot_rems[t]
-                if end <= hot_m:
-                    seg[lm:] = hot_keys[start:end]
-                else:
-                    low = end - hot_m
-                    seg[lm:lm + low] = hot_keys[:low]
-                    seg[lm + low:] = hot_keys[start:]
-                add(seg, types, out=seg)
-        tot = cold_tots[t]
-        if tot:
-            types = repeat(ar5, cold_rows_l[t])
-            shuffle(types)
-            seg = key_buf[fill:fill + tot]
-            fill += tot
-            if cold_rems[t] == 0:
-                add(cold_base[:tot], types, out=seg)
-            else:
-                lm = cold_lms[t]
-                seg[:lm] = cold_base[:lm]
-                start = t % cold_m
-                end = start + cold_rems[t]
-                if end <= cold_m:
-                    seg[lm:] = cold_keys[start:end]
-                else:
-                    low = end - cold_m
-                    seg[lm:lm + low] = cold_keys[:low]
-                    seg[lm + low:] = cold_keys[start:]
-                add(seg, types, out=seg)
-        if fill:
-            copyto(alloc_rows[t], bincount(key_buf[:fill],
-                                           minlength=width))
+    if type(sched) is RoundRobinScheduler:
+        hs = 0  # no hot group: its metrics read NaN, as record() writes
+        view = ClusterView(time_s=cluster._time_s, num_servers=n,
+                           cores_per_server=cores,
+                           air_temp_c=air._temp.copy(),
+                           wax_melt_estimate=estimator._estimate.copy(),
+                           melt_temp_c=pcm.melt_temp_c)
+        alloc_block = _plan_round_robin(sched, counts, view, deadline)
+    else:
+        hs = sched.sizer.hot_size
+        alloc_block = plan_vmt_ta(counts, n, cores, hs, sched._rng,
+                                  deadline=deadline)
     dyn_block = np.matmul(alloc_block.reshape(T * n, _K),
-                          pcp).reshape(T, n)
+                          cluster._per_core_power).reshape(T, n)
     plan_elapsed = clock() - plan_start
 
     # ---- fused physics ---------------------------------------------------
@@ -290,8 +378,9 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     # Batched stream draws, identical values/state to per-tick draws.
     sensor = cluster._sensor
     if sensor._noise > 0:
-        # view() reads the air sensor every tick; VMT-TA never looks at
-        # the sensed values, so only the stream consumption matters.
+        # view() reads the air sensor every tick; open-loop policies
+        # never look at the sensed values, so only the stream
+        # consumption matters.
         sensor._rng.normal(0.0, sensor._noise, size=(T, n))
     est_noise = None
     if estimator._sensor_noise > 0:
@@ -357,14 +446,17 @@ def _run(sim, hot_tot: np.ndarray, cold_tot: np.ndarray,
     wax_abs = q_block.sum(axis=1)
     junction = cluster._cpu_model.junction_temp_c(
         inlet[None, :], dyn_block, config.server)
+    # An empty group's mean is NaN, exactly where record() writes NaN.
+    hot_mean = temp_block[:, :hs].mean(axis=1) if hs else None
+    cold_mean = temp_block[:, hs:].mean(axis=1) if 0 < hs < n else None
     sim._metrics.fill_block(
         times_s=times,
         cooling_load_w=it_power - wax_abs,
         it_power_w=it_power,
         wax_absorption_w=wax_abs,
         mean_temp_c=temp_block.mean(axis=1),
-        hot_group_mean_temp_c=temp_block[:, :hs].mean(axis=1),
-        cold_group_mean_temp_c=temp_block[:, hs:].mean(axis=1),
+        hot_group_mean_temp_c=hot_mean,
+        cold_group_mean_temp_c=cold_mean,
         mean_melt_fraction=truth_block.mean(axis=1),
         hot_group_size=hs,
         jobs=counts.sum(axis=1),
