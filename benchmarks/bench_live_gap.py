@@ -18,6 +18,10 @@ Results merge into ``BENCH_perf.json`` under ``"live"``.  The exit
 status gates CI: nonzero when the oracle differential is not
 bit-identical or the naive gap is not positive.
 
+Every wall time is one whole call (trace or feed build included), timed
+with :func:`~repro.perf.timing.interleaved_best`: one untimed warm-up
+per case, then best-of-``--repeats`` with the four cases interleaved.
+
 Run::
 
     PYTHONPATH=src python benchmarks/bench_live_gap.py
@@ -30,37 +34,48 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import time
 
 from repro.cluster.simulation import run_simulation
 from repro.config import SimulationConfig, TraceConfig
 from repro.core.policies import make_scheduler
 from repro.live import LiveRunner, MPCController, TraceReplayFeed
+from repro.perf.timing import interleaved_best, time_call
 
 
 def measure(num_servers: int, hours: float, seed: int, policy: str,
-            decision_every: int, mpc_horizon: int) -> dict:
+            decision_every: int, mpc_horizon: int, repeats: int) -> dict:
     config = SimulationConfig(
         num_servers=num_servers, seed=seed,
         trace=TraceConfig(duration_hours=hours))
 
-    start = time.perf_counter()
-    batch = run_simulation(config, make_scheduler(policy, config))
-    batch_wall = time.perf_counter() - start
+    def live(forecaster: str, mpc: bool = False, **kwargs):
+        def run():
+            controller = (MPCController(config, horizon_steps=mpc_horizon,
+                                        max_workers=4) if mpc else None)
+            return LiveRunner(config, policy,
+                              TraceReplayFeed.from_config(config),
+                              forecaster=forecaster, mpc=controller,
+                              **kwargs).run()
+        return run
 
-    oracle = LiveRunner(config, policy,
-                        TraceReplayFeed.from_config(config),
-                        forecaster="oracle").run()
-    naive = LiveRunner(config, policy,
-                       TraceReplayFeed.from_config(config),
-                       forecaster="last-value",
-                       decision_every=decision_every).run()
-    mpc = MPCController(config, horizon_steps=mpc_horizon,
-                        max_workers=4)
-    mpc_run = LiveRunner(config, policy,
-                         TraceReplayFeed.from_config(config),
-                         forecaster="last-value",
-                         decision_every=decision_every, mpc=mpc).run()
+    def timed(fn):
+        def case():
+            wall_s, value = time_call(fn)
+            return {"wall_s": wall_s, "value": value}
+        return case
+
+    best = interleaved_best({
+        "batch": timed(lambda: run_simulation(
+            config, make_scheduler(policy, config))),
+        "oracle": timed(live("oracle")),
+        "naive": timed(live("last-value", decision_every=decision_every)),
+        "mpc": timed(live("last-value", decision_every=decision_every,
+                          mpc=True)),
+    }, repeats=repeats, key="wall_s")
+    batch = best["batch"]["value"]
+    oracle = best["oracle"]["value"]
+    naive = best["naive"]["value"]
+    mpc_run = best["mpc"]["value"]
 
     batch_peak = batch.peak_cooling_load_w
     naive_peak = naive.result.peak_cooling_load_w
@@ -71,20 +86,21 @@ def measure(num_servers: int, hours: float, seed: int, policy: str,
         "seed": seed,
         "policy": policy,
         "decision_every": decision_every,
-        "batch_wall_s": batch_wall,
+        "repeats": repeats,
+        "batch_wall_s": best["batch"]["wall_s"],
         "batch_fingerprint": batch.fingerprint(),
         "oracle": {
             "fingerprint": oracle.result.fingerprint(),
             "bit_identical": (oracle.result.fingerprint()
                               == batch.fingerprint()),
-            "wall_s": oracle.wall_clock_s,
+            "wall_s": best["oracle"]["wall_s"],
         },
         "naive": {
             "forecaster": "last-value",
             "peak_cooling_w": naive_peak,
             "peak_degradation_pct": 100.0 * (naive_peak / batch_peak
                                              - 1.0),
-            "wall_s": naive.wall_clock_s,
+            "wall_s": best["naive"]["wall_s"],
         },
         "mpc": {
             "horizon_steps": mpc_horizon,
@@ -95,7 +111,7 @@ def measure(num_servers: int, hours: float, seed: int, policy: str,
                 100.0 * (naive_peak - mpc_peak)
                 / (naive_peak - batch_peak)
                 if naive_peak > batch_peak else None),
-            "wall_s": mpc_run.wall_clock_s,
+            "wall_s": best["mpc"]["wall_s"],
         },
         "oracle_peak_cooling_w": batch_peak,
     }
@@ -109,13 +125,14 @@ def main() -> int:
     parser.add_argument("--policy", default="vmt-ta")
     parser.add_argument("--decision-every", type=int, default=15)
     parser.add_argument("--mpc-horizon", type=int, default=60)
+    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default="BENCH_perf.json")
     args = parser.parse_args()
 
     print(f"live gap: {args.servers} servers, {args.hours:g} h, "
           f"{args.policy}, decisions every {args.decision_every} ...")
     live = measure(args.servers, args.hours, args.seed, args.policy,
-                   args.decision_every, args.mpc_horizon)
+                   args.decision_every, args.mpc_horizon, args.repeats)
     print(f"  oracle bit-identical: {live['oracle']['bit_identical']} "
           f"(fingerprint {live['batch_fingerprint']})")
     print(f"  oracle peak {live['oracle_peak_cooling_w']:.0f} W; naive "
@@ -126,6 +143,11 @@ def main() -> int:
           f"({live['mpc']['peak_vs_oracle_pct']:+.2f}% vs oracle"
           + (f", {recovered:.0f}% of the gap recovered)"
              if recovered is not None else ")"))
+    print(f"  wall (best of {args.repeats}): batch "
+          f"{live['batch_wall_s']:.2f} s, oracle "
+          f"{live['oracle']['wall_s']:.2f} s, naive "
+          f"{live['naive']['wall_s']:.2f} s, mpc "
+          f"{live['mpc']['wall_s']:.2f} s")
 
     merged = {}
     if os.path.exists(args.out):

@@ -33,10 +33,17 @@ WATCHED = (
     "src/repro/perf",
     "src/repro/cluster/simulation.py",
     "src/repro/cluster/metrics.py",
+    # BENCH "live" times the MPC racer's shadow runs on the kernels.
+    "src/repro/live/mpc.py",
     "benchmarks/bench_perf_scaling.py",
 )
 
 BENCH = "BENCH_perf.json"
+
+#: How to regenerate the record the watched paths feed.
+RERUN = ("Run: PYTHONPATH=src python benchmarks/bench_perf_scaling.py"
+         " && PYTHONPATH=src python benchmarks/bench_sanitizer_overhead.py"
+         " && PYTHONPATH=src python benchmarks/bench_live_gap.py")
 
 
 def _git(*argv: str) -> subprocess.CompletedProcess:
@@ -83,7 +90,7 @@ def main() -> int:
         print("STALE: uncommitted changes under the perf-critical paths "
               f"({', '.join(sorted(dirty_kernel)[:5])}) without a "
               f"regenerated {BENCH}.")
-        print("Run: PYTHONPATH=src python benchmarks/bench_perf_scaling.py")
+        print(RERUN)
         return 1
 
     if not bench_commit:
@@ -102,9 +109,7 @@ def main() -> int:
     if ancestry.returncode == 1:
         print(f"STALE: perf paths changed in {kernel_commit[:12]} after "
               f"{BENCH} was last regenerated in {bench_commit[:12]}.")
-        print("Run: PYTHONPATH=src python benchmarks/bench_perf_scaling.py"
-              " && PYTHONPATH=src python "
-              "benchmarks/bench_sanitizer_overhead.py")
+        print(RERUN)
         return 1
     print("git ancestry query failed "
           f"({ancestry.stderr.strip()}); skipping freshness check")

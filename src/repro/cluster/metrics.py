@@ -137,49 +137,50 @@ class MetricsCollector:
                    jobs: np.ndarray, max_cpu_temp_c: np.ndarray,
                    temp_map: Optional[np.ndarray] = None,
                    melt_map: Optional[np.ndarray] = None) -> None:
-        """Record a whole fault-free run's series in one block write.
+        """Append a block of fault-free ticks in one write.
 
-        The fast-path kernel computes every series as a column; this
-        stores them straight into the preallocated buffers with no
-        per-tick python, exactly as ``record`` would have, with the
-        fault-only columns at their fault-free defaults.  A group mean
-        of ``None`` records NaN, as ``record`` does for an empty group.
-        Only valid on a fresh collector.
+        The planned kernel computes every series as a column; this
+        stores them straight into the buffers after the rows already
+        recorded (none on a fresh collector, the restored prefix on a
+        resumed one) with no per-tick python, exactly as ``record``
+        would have, with the fault-only columns at their fault-free
+        defaults.  A group mean of ``None`` records NaN, as ``record``
+        does for an empty group.
         """
-        if self._size != 0:
-            raise SimulationError(
-                "fill_block requires a fresh collector")
-        size = len(times_s)
-        while self._capacity < size:
+        start = self._size
+        stop = start + len(times_s)
+        while self._capacity < stop:
             self._grow()
+        rows = slice(start, stop)
         series = self._series
-        series["times_s"][:size] = times_s
-        series["cooling_load_w"][:size] = cooling_load_w
-        series["it_power_w"][:size] = it_power_w
-        series["wax_absorption_w"][:size] = wax_absorption_w
-        series["mean_temp_c"][:size] = mean_temp_c
-        series["hot_group_mean_temp_c"][:size] = (
+        series["times_s"][rows] = times_s
+        series["cooling_load_w"][rows] = cooling_load_w
+        series["it_power_w"][rows] = it_power_w
+        series["wax_absorption_w"][rows] = wax_absorption_w
+        series["mean_temp_c"][rows] = mean_temp_c
+        series["hot_group_mean_temp_c"][rows] = (
             np.nan if hot_group_mean_temp_c is None
             else hot_group_mean_temp_c)
-        series["cold_group_mean_temp_c"][:size] = (
+        series["cold_group_mean_temp_c"][rows] = (
             np.nan if cold_group_mean_temp_c is None
             else cold_group_mean_temp_c)
-        series["mean_melt_fraction"][:size] = mean_melt_fraction
-        series["hot_group_size"][:size] = hot_group_size
-        series["jobs"][:size] = jobs
-        series["max_cpu_temp_c"][:size] = max_cpu_temp_c
-        series["availability"][:size] = 1.0
-        series["displaced_jobs"][:size] = 0
-        series["cooling_capacity_factor"][:size] = 1.0
+        series["mean_melt_fraction"][rows] = mean_melt_fraction
+        series["hot_group_size"][rows] = hot_group_size
+        series["jobs"][rows] = jobs
+        series["max_cpu_temp_c"][rows] = max_cpu_temp_c
+        series["availability"][rows] = 1.0
+        series["displaced_jobs"][rows] = 0
+        series["cooling_capacity_factor"][rows] = 1.0
         if self._record_heatmaps and temp_map is not None:
-            width = temp_map.shape[1]
-            self._temp_map = np.empty((self._capacity, width),
-                                      dtype=np.float32)
-            self._melt_map = np.empty((self._capacity, width),
-                                      dtype=np.float32)
-            self._temp_map[:size] = temp_map
-            self._melt_map[:size] = melt_map
-        self._size = size
+            if self._temp_map is None:
+                width = temp_map.shape[1]
+                self._temp_map = np.empty((self._capacity, width),
+                                          dtype=np.float32)
+                self._melt_map = np.empty((self._capacity, width),
+                                          dtype=np.float32)
+            self._temp_map[rows] = temp_map
+            self._melt_map[rows] = melt_map
+        self._size = stop
 
     @property
     def size(self) -> int:

@@ -19,7 +19,9 @@ run satisfies:
 
 * :mod:`.planned` -- whole-run batched kernel for every clean open-loop
   run: VMT-TA at any grouping value and round-robin, whose placement
-  never reads thermal feedback, so the entire run is plannable up front;
+  never reads thermal feedback, so the entire run is plannable up front
+  -- from tick 0, or from the tick a snapshot restored (checkpoint
+  resumes, MPC shadow simulations);
 * :mod:`.stepped` -- the reference tick loop driven directly, without
   the event heap, per-tick re-validation, or dict plumbing (all
   policies, checkpoints, sanitizer, observers);

@@ -43,6 +43,13 @@ construction:
   :meth:`MetricsCollector.fill_block` writes them into the same buffers
   ``record`` would have filled, NaN where a group is empty.
 
+A run restored from a snapshot at a tick boundary is planned the same
+way over its remaining ticks: the scheduler keeps its restored state
+(tick, RNG, round-robin's job map), the physics recurrences start from
+the restored air, wax and estimator state, the metrics clock continues
+from the restored cluster time, and the new rows append after the
+restored ones.
+
 What stays python: the planning loop (per tick, one shuffle per placing
 pass and one bincount for VMT-TA; the scheduler's ``place`` for
 round-robin) and the state recurrences.  Everything else -- power model,
@@ -80,25 +87,29 @@ def try_run(sim) -> Optional["SimulationResult"]:
     """Run ``sim`` through the planned kernel, or return ``None``.
 
     Eligibility mirrors exactly the situations where planning ahead is
-    provably equivalent: a fresh, clean open-loop run (VMT-TA at any
-    grouping value, or round-robin) -- no faults, no sanitizer, no
-    telemetry/observers/checkpoints, no ambient profile, no mid-run
-    restore, and no tick demanding more cores than the cluster has (the
-    reference scheduler raises there).
+    provably equivalent: a clean open-loop run (VMT-TA at any grouping
+    value, or round-robin) -- no faults, no sanitizer, no
+    telemetry/observers/checkpoints, no ambient profile, no live buffer
+    (whose rows past the ingested ones must not be read) -- that is
+    fresh or restored at a tick boundary with ticks left to run, and no
+    remaining tick demanding more cores than the cluster has (the
+    reference scheduler raises there).  A restored run is planned from
+    its restored tick onward.
     """
     if type(sim._scheduler) not in (VMTThermalAwareScheduler,
                                     RoundRobinScheduler):
         return None
     cluster = sim._cluster
+    t0 = sim._step_index
+    fresh = t0 == 0 and sim._engine.events_dispatched == 0
     if (sim._injector is not None
             or sim._sanitizer is not None
             or sim._telemetry is not None
             or sim._observers
             or sim._checkpoint_every is not None
-            or sim._restored
-            or sim._step_index != 0
-            or sim._metrics.size != 0
-            or sim._engine.events_dispatched != 0
+            or getattr(sim._trace, "is_live", False)
+            or not (fresh or sim._restored)
+            or sim._metrics.size != t0
             or cluster._ambient is not None):
         return None
     config = sim._config
@@ -109,7 +120,7 @@ def try_run(sim) -> Optional["SimulationResult"]:
         # branches (zero heat flow, step-function melt fraction) that
         # are not worth mirroring here.
         return None
-    counts = sim._trace._counts
+    counts = sim._trace._counts[t0:]
     if (counts.shape[0] == 0
             or int(counts.sum(axis=1).max()) > config.total_cores):
         return None
@@ -327,7 +338,9 @@ def _run(sim):
     engine = sim._engine
 
     n = config.num_servers
-    counts = sim._trace._counts
+    # A restored run plans the remaining ticks [t0, t0 + T) only.
+    t0 = sim._step_index
+    counts = sim._trace._counts[t0:]
     T = counts.shape[0]
     dt = sim._trace.step_seconds
     cores = config.server.cores
@@ -348,8 +361,11 @@ def _run(sim):
     n_sub = max(1, int(math.ceil(dt / (0.25 * tau))))
     sub_dt = dt / n_sub
 
-    # A fresh reference run resets the scheduler before the first tick.
-    sched.reset()
+    # A fresh reference run resets the scheduler before the first tick;
+    # a restored one continues from the snapshot's scheduler state.
+    if not sim._restored:
+        sched.reset()
+    first_tick = sched._tick
 
     # ---- plan: replay the placement for every tick -----------------------
     plan_start = clock()
@@ -364,7 +380,7 @@ def _run(sim):
     else:
         hs = sched.sizer.hot_size
         alloc_block = plan_vmt_ta(counts, n, cores, hs, sched._rng,
-                                  deadline=deadline)
+                                  first_tick=first_tick, deadline=deadline)
     dyn_block = np.matmul(alloc_block.reshape(T * n, _K),
                           cluster._per_core_power).reshape(T, n)
     plan_elapsed = clock() - plan_start
@@ -438,7 +454,7 @@ def _run(sim):
     # ---- metrics ---------------------------------------------------------
     metrics_start = clock()
     times = np.empty(T)
-    t_acc = 0.0
+    t_acc = cluster._time_s
     for t in range(T):
         t_acc += dt
         times[t] = t_acc
@@ -475,11 +491,11 @@ def _run(sim):
     cluster._last_q_wax = q_block[T - 1].copy()
     cluster._last_melt_fraction = truth_block[T - 1].copy()
     cluster._time_s = t_acc
-    sched._tick = T
-    sim._step_index = T
+    sched._tick = first_tick + T
+    sim._step_index = t0 + T
     sim._last_allocation = (alloc_block[T - 1]
                             .reshape(n, _K).astype(np.int64))
-    engine._now = max(engine._now, T * dt - 1e-9)
+    engine._now = max(engine._now, (t0 + T) * dt - 1e-9)
     engine._dispatched += T
 
     if prof is not None:

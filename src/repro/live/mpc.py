@@ -1,14 +1,20 @@
 """Model-predictive GV control by shadow simulation.
 
 At each decision boundary the controller forks the running simulation's
-:class:`~repro.state.snapshot.SimulationSnapshot` and races K shadow
-simulations -- one per candidate grouping value -- over a trace built
-from the observed history plus the forecaster's horizon.  Each shadow
-restores the snapshot into a fresh fast-backend simulation (the PR 7
-stepped kernel makes this cheap), retargets its scheduler to the
-candidate, runs the horizon out, and reports its peak cooling load over
-the forecast window.  The candidate with the lowest predicted peak
-wins.
+:class:`~repro.state.snapshot.SimulationSnapshot` and races shadow
+simulations of the candidate grouping values over a trace built from
+the observed history plus the forecaster's horizon.  Each shadow
+restores the snapshot into a fresh fast-backend simulation, retargets
+its scheduler to the candidate, runs the horizon out, and reports its
+peak cooling load over the forecast window.  A VMT-TA shadow is a
+clean open-loop run restored at a tick boundary, so it takes the
+planned kernel; closed-loop policies take the stepped one.  The
+candidate with the lowest predicted peak wins.
+
+Every policy reads a grouping value only through its Eq. 1 hot-group
+size, so candidates of one size would race bit-identical shadows: one
+shadow runs per distinct size, and its peak scores every candidate of
+that size.
 
 Shadows restore with ``trace_check=False``: they deliberately run
 against a forecast trace whose fingerprint differs from the live
@@ -24,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import SimulationConfig
+from ..core.grouping import hot_group_size
 from ..errors import SimulationError
 
 #: Default GV perturbations (degrees of virtual melting temperature)
@@ -128,17 +135,27 @@ class MPCController:
             forecaster.forecast(buffer.filled, horizon))
         history_rows = int(snapshot.tick)
 
-        if len(candidates) == 1 or self._max_workers == 1:
-            scores = [self._score_shadow(snapshot, shadow_trace, gv,
-                                         history_rows)
-                      for gv in candidates]
+        # One shadow per distinct hot-group size, raced with the first
+        # candidate of that size.
+        pmt = self._config.wax.melt_temp_c
+        n = self._config.num_servers
+        sizes = [hot_group_size(gv, pmt, n) for gv in candidates]
+        racers = {}
+        for size, gv in zip(sizes, candidates):
+            racers.setdefault(size, gv)
+        if len(racers) == 1 or self._max_workers == 1:
+            peaks = [self._score_shadow(snapshot, shadow_trace, gv,
+                                        history_rows)
+                     for gv in racers.values()]
         else:
-            workers = min(self._max_workers, len(candidates))
+            workers = min(self._max_workers, len(racers))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(self._score_shadow, snapshot,
                                        shadow_trace, gv, history_rows)
-                           for gv in candidates]
-                scores = [f.result() for f in futures]
+                           for gv in racers.values()]
+                peaks = [f.result() for f in futures]
+        peak_by_size = dict(zip(racers, peaks))
+        scores = [peak_by_size[size] for size in sizes]
 
         best = int(np.argmin(scores))
         decision = MPCDecision(step=step, chosen_gv=candidates[best],

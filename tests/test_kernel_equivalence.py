@@ -16,6 +16,8 @@ The default config (GV 22) never overflows a group, so the open-loop
 cases below add the ticks where VMT-TA spills across groups, the empty
 groups, and round-robin; a hypothesis oracle checks the planner's
 closed-form spill placement tick by tick against the scheduler itself.
+Runs restored from a mid-run checkpoint are planned from the restored
+tick, and must finish exactly as the straight reference run does.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from repro.core.scheduler import NUM_WORKLOADS
 from repro.core.vmt_ta import VMTThermalAwareScheduler
 from repro.kernel import is_numba_available, resolve_backend
 from repro.kernel.planned import plan_vmt_ta
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
+from repro.live import LiveTraceBuffer
 from repro.scenarios import get_scenario
-from repro.state.checkpoint import (latest_checkpoint, restore_simulation,
-                                    verify_roundtrip)
+from repro.state.checkpoint import (checkpoint_path, latest_checkpoint,
+                                    restore_simulation, verify_roundtrip)
 
 NUM_SERVERS = 24
 HOURS = 6.0
@@ -92,6 +95,20 @@ def open_loop_case(case: str):
     policy, num_servers, grouping_value = OPEN_LOOP[case]
     return small_config(num_servers=num_servers,
                         grouping_value=grouping_value), policy
+
+
+#: The default config plus every open-loop case, for resume parity.
+RESUME_CASES = ("default", *OPEN_LOOP)
+
+#: Mid-run ticks the resume tests checkpoint at and restore from.
+RESUME_TICKS = (97, 194, 291)
+
+
+def resume_case(case: str):
+    """(config, policy) of one :data:`RESUME_CASES` run."""
+    if case == "default":
+        return small_config(), "vmt-ta"
+    return open_loop_case(case)
 
 
 def run_backend(config, policy: str, backend: str):
@@ -268,6 +285,64 @@ class TestDispatch:
         _, sim = run_backend(small_config(), policy, "fast")
         assert sim.kernel_path == "stepped"
 
+    def test_restored_closed_loop_run_stays_stepped(self, tmp_path):
+        config = small_config()
+        ClusterSimulation(config, make_scheduler("vmt-wa", config),
+                          record_heatmaps=False, backend="reference",
+                          checkpoint_every=120,
+                          checkpoint_dir=str(tmp_path)).run()
+        sim = restore_simulation(checkpoint_path(str(tmp_path), 120),
+                                 backend="fast")
+        sim.run()
+        assert sim.kernel_path == "stepped"
+
+    def test_restored_checkpointing_run_stays_stepped(self, tmp_path):
+        config = small_config()
+        straight, _ = run_backend(config, "vmt-ta", "reference")
+        first, again = tmp_path / "first", tmp_path / "again"
+        ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                          record_heatmaps=False, backend="reference",
+                          checkpoint_every=120,
+                          checkpoint_dir=str(first)).run()
+        sim = restore_simulation(checkpoint_path(str(first), 120),
+                                 backend="fast", checkpoint_every=120,
+                                 checkpoint_dir=str(again))
+        verify_roundtrip(straight, sim.run())
+        assert sim.kernel_path == "stepped"
+        assert [r["tick"] for r in sim.checkpoint_records] == [240, 360]
+
+    def test_run_restored_at_its_final_tick_returns_the_result(
+            self, tmp_path):
+        config = small_config()
+        straight, _ = run_backend(config, "vmt-ta", "reference")
+        final = config.trace.num_steps
+        ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                          record_heatmaps=False, backend="reference",
+                          checkpoint_every=final,
+                          checkpoint_dir=str(tmp_path)).run()
+        sim = restore_simulation(checkpoint_path(str(tmp_path), final),
+                                 backend="fast")
+        verify_roundtrip(straight, sim.run())
+        assert sim.kernel_path == "stepped"
+
+    def test_live_buffer_runs_step_and_refuse_lookahead(self):
+        """A live buffer raises on rows that have not arrived; the
+        planned kernel would read them up front as zero demand, so a
+        run on one steps and fails like the reference loop."""
+        config = small_config()
+        trace = ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                  record_heatmaps=False).trace
+        buffer = LiveTraceBuffer(trace.num_steps, trace.step_seconds,
+                                 trace.total_cores)
+        for step in range(10):
+            buffer.append(trace.demand_at(step))
+        sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                trace=buffer, record_heatmaps=False,
+                                backend="fast")
+        with pytest.raises(TraceError, match="no lookahead"):
+            sim.run()
+        assert sim.kernel_path == "stepped"
+
     def test_fault_runs_fall_back_to_the_engine(self):
         _, sim = run_backend(small_config(faults=True), "vmt-ta", "fast")
         assert sim.kernel_path == "reference"
@@ -325,8 +400,31 @@ class TestCheckpointRoundtrip:
         resumed_sim = restore_simulation(
             latest_checkpoint(str(tmp_path)), backend="fast")
         resumed = resumed_sim.run()
-        assert resumed_sim.kernel_path == "stepped"
+        assert resumed_sim.kernel_path == "planned"
         verify_roundtrip(straight, resumed)
+
+    @pytest.mark.parametrize("case", RESUME_CASES)
+    def test_resumed_open_loop_runs_are_planned(self, case, tmp_path):
+        """Resuming a reference checkpoint under fast plans the rest of
+        the run: same fingerprint as the straight run, and the same
+        post-run state as a reference resume from that checkpoint."""
+        config, policy = resume_case(case)
+        straight = ClusterSimulation(
+            config, make_scheduler(policy, config), record_heatmaps=True,
+            backend="reference", checkpoint_every=RESUME_TICKS[0],
+            checkpoint_dir=str(tmp_path)).run()
+        for tick in RESUME_TICKS:
+            path = checkpoint_path(str(tmp_path), tick)
+            fast_sim = restore_simulation(path, backend="fast")
+            fast = fast_sim.run()
+            assert fast_sim.kernel_path == "planned"
+            assert fast.fingerprint() == straight.fingerprint()
+            ref_sim = restore_simulation(path, backend="reference")
+            ref_sim.run()
+            ref_snap = ref_sim.snapshot()
+            fast_snap = fast_sim.snapshot()
+            assert ref_snap.tick == fast_snap.tick
+            assert_state_trees_equal(ref_snap.state, fast_snap.state)
 
 
 class TestParallelModes:

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.cluster.simulation import run_simulation
+from repro.cluster.simulation import ClusterSimulation, run_simulation
 from repro.config import SimulationConfig, TraceConfig
+from repro.core.grouping import hot_group_size
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
 from repro.errors import SimulationError, TraceError
 from repro.live import (JsonlFeed, LiveRunner, LiveTraceBuffer,
@@ -25,7 +26,7 @@ from repro.live import (JsonlFeed, LiveRunner, LiveTraceBuffer,
                         make_feed, make_forecaster, resume_live)
 from repro.perf.runner import ExperimentRunner, RunFailure, RunSpec
 from repro.state.checkpoint import verify_roundtrip
-from repro.workloads.workload import WORKLOAD_LIST
+from repro.workloads.workload import HOT_INDICES, WORKLOAD_LIST
 
 NUM_WORKLOADS = len(WORKLOAD_LIST)
 
@@ -269,6 +270,83 @@ class TestMPC:
         assert reports[0].result.fingerprint() == \
             reports[1].result.fingerprint()
         assert reports[0].mpc_decisions == reports[1].mpc_decisions
+
+    def test_shadow_is_planned_and_matches_reference(self):
+        """A VMT-TA shadow is a clean open-loop run restored mid-run:
+        under the fast backend it takes the planned kernel, and it runs
+        bit-identically to the same shadow on the reference loop."""
+        config = tiny_config(hours=4.0, servers=8, seed=7)
+        mpc = MPCController(config, horizon_steps=30, max_workers=1)
+        forks = []
+        score = mpc._score_shadow
+
+        def capture(snapshot, trace, gv, history_rows):
+            forks.append((snapshot, trace))
+            return score(snapshot, trace, gv, history_rows)
+
+        mpc._score_shadow = capture
+        LiveRunner(config, "vmt-ta", TraceReplayFeed.from_config(config),
+                   forecaster="last-value", decision_every=60,
+                   mpc=mpc).run()
+        snapshot, trace = next(fork for fork in forks
+                               if fork[0].tick >= 120)
+        # One hot server: every hot job beyond its cores spills, and the
+        # forecast window's hot demand always exceeds them.
+        gv = config.wax.melt_temp_c / config.num_servers
+        assert hot_group_size(gv, config.wax.melt_temp_c,
+                              config.num_servers) == 1
+        window = trace.counts[snapshot.tick:]
+        assert (window[:, list(HOT_INDICES)].sum(axis=1)
+                > config.server.cores).all()
+
+        fingerprints = {}
+        for backend in ("reference", "fast"):
+            shadow_config = SimulationConfig.from_dict(snapshot.config)
+            scheduler = make_scheduler(snapshot.policy, shadow_config)
+            shadow = ClusterSimulation(
+                shadow_config, scheduler, trace=trace,
+                record_heatmaps=snapshot.record_heatmaps, checks="off",
+                backend=backend)
+            shadow.restore(snapshot, trace_check=False)
+            scheduler.retarget_grouping(gv)
+            fingerprints[backend] = shadow.run().fingerprint()
+            assert shadow.kernel_path == (
+                "planned" if backend == "fast" else "reference")
+        assert fingerprints["fast"] == fingerprints["reference"]
+
+    @pytest.mark.parametrize("workers", (1, 4))
+    def test_one_shadow_per_distinct_hot_group_size(self, workers):
+        """One shadow races per distinct Eq. 1 hot-group size, and every
+        candidate scores the peak of the shadow raced at its size."""
+        config = tiny_config(hours=6.0, servers=8, seed=7)
+        mpc = MPCController(config, horizon_steps=20, max_workers=workers)
+        raced = []  # (decision index, gv, peak) of every shadow
+        score = mpc._score_shadow
+
+        def counted(snapshot, trace, gv, history_rows):
+            peak = score(snapshot, trace, gv, history_rows)
+            raced.append((len(mpc.decisions), gv, peak))
+            return peak
+
+        mpc._score_shadow = counted
+        LiveRunner(config, "vmt-ta", TraceReplayFeed.from_config(config),
+                   forecaster="last-value", decision_every=30,
+                   mpc=mpc).run()
+        pmt, n = config.wax.melt_temp_c, config.num_servers
+        shared = distinct = 0
+        for index, decision in enumerate(mpc.decisions):
+            shadows = [(gv, peak) for i, gv, peak in raced if i == index]
+            peak_by_size = {hot_group_size(gv, pmt, n): peak
+                            for gv, peak in shadows}
+            sizes = [hot_group_size(gv, pmt, n)
+                     for gv in decision.candidates]
+            assert len(shadows) == len(peak_by_size) == len(set(sizes))
+            assert decision.predicted_peak_w == tuple(
+                peak_by_size[size] for size in sizes)
+            shared += len(sizes) - len(set(sizes))
+            distinct += len(set(decision.predicted_peak_w)) > 1
+        assert shared > 0  # some decision did share a hot-group size
+        assert distinct > 0  # and some scored sizes apart
 
 
 class TestLiveMigration:

@@ -69,6 +69,69 @@ class TestMetricsCollector:
         with pytest.raises(SimulationError):
             MetricsCollector().finish(SimulationConfig(num_servers=4), "x")
 
+    @pytest.mark.parametrize("capacity", (None, 2))
+    @pytest.mark.parametrize("prefix", (0, 3))
+    @pytest.mark.parametrize("hot_size", (0, 2, 4))
+    def test_fill_block_after_restored_prefix_matches_record(
+            self, hot_size, prefix, capacity):
+        """A restored prefix plus one ``fill_block`` of the remaining
+        rows stores exactly what ``record`` stores tick by tick: every
+        series, the heatmaps, and NaN for an empty group's mean."""
+        n, ticks = 4, 8
+        rng = np.random.default_rng(5)
+        temp = rng.uniform(20.0, 45.0, (ticks, n))
+        melt = rng.uniform(0.0, 1.0, (ticks, n))
+        power = rng.uniform(100.0, 300.0, (ticks, n))
+        absorb = rng.uniform(-20.0, 40.0, (ticks, n))
+        cpu = rng.uniform(40.0, 80.0, ticks)
+        jobs = rng.integers(0, 64, ticks)
+        times = np.cumsum(np.full(ticks, 60.0))
+        hot = np.arange(n) < hot_size
+
+        def record(collector, rows):
+            for t in rows:
+                collector.record(times[t], air_temp_c=temp[t],
+                                 melt_fraction=melt[t], power_w=power[t],
+                                 wax_absorption_w=absorb[t],
+                                 jobs=int(jobs[t]), hot_mask=hot,
+                                 max_cpu_temp_c=float(cpu[t]))
+
+        straight = MetricsCollector(capacity=ticks)
+        record(straight, range(ticks))
+        partial = MetricsCollector(capacity=ticks)
+        record(partial, range(prefix))
+        resumed = MetricsCollector(capacity=capacity)
+        resumed.load_state_dict(partial.state_dict())
+
+        rest = slice(prefix, ticks)
+        it_power = np.array([row.sum() for row in power[rest]])
+        absorbed = np.array([row.sum() for row in absorb[rest]])
+        resumed.fill_block(
+            times_s=times[rest], cooling_load_w=it_power - absorbed,
+            it_power_w=it_power, wax_absorption_w=absorbed,
+            mean_temp_c=np.array([row.mean() for row in temp[rest]]),
+            hot_group_mean_temp_c=(
+                np.array([row[hot].mean() for row in temp[rest]])
+                if hot.any() else None),
+            cold_group_mean_temp_c=(
+                np.array([row[~hot].mean() for row in temp[rest]])
+                if hot.any() and not hot.all() else None),
+            mean_melt_fraction=np.array([row.mean()
+                                         for row in melt[rest]]),
+            hot_group_size=hot_size, jobs=jobs[rest],
+            max_cpu_temp_c=cpu[rest], temp_map=temp[rest],
+            melt_map=melt[rest])
+
+        config = SimulationConfig(num_servers=n)
+        expected = straight.finish(config, "x")
+        got = resumed.finish(config, "x")
+        assert resumed.size == ticks
+        for name in SimulationResult.FINGERPRINT_FIELDS:
+            a, b = getattr(expected, name), getattr(got, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+        assert got.fingerprint() == expected.fingerprint()
+
 
 class TestSimulationResult:
     def _result(self):
