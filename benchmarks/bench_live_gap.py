@@ -21,12 +21,13 @@ bit-identical or the naive gap is not positive.
 Every wall time is one whole call (trace or feed build included), timed
 with :func:`~repro.perf.timing.interleaved_best`: one untimed warm-up
 per case, then best-of-``--repeats`` with the four cases interleaved.
+The gate reads no time, so the CI smoke takes one repeat.
 
 Run::
 
     PYTHONPATH=src python benchmarks/bench_live_gap.py
     PYTHONPATH=src python benchmarks/bench_live_gap.py \
-        --servers 8 --hours 24 --decision-every 15      # CI smoke
+        --repeats 1 --out /tmp/bench.json               # CI smoke
 """
 
 from __future__ import annotations
