@@ -11,12 +11,18 @@ sweep scale:
 * ``restore_s`` -- ``load_snapshot`` + ``restore_simulation``, the cost
   paid once on resume;
 * ``checkpoint_overhead`` -- extra wall time of a run checkpointing
-  every 60 ticks relative to an identical run without checkpoints.
+  every 60 ticks relative to an identical run without checkpoints;
+* ``fast_vmt_ta`` -- the same pair for VMT-TA on the fast backend, where
+  the planned kernel runs the checkpointing run in segments and writes
+  each snapshot between two of them, beside the stepped driver that
+  took such runs before; timed with ``interleaved_best``.
 
 The acceptance bar is **one snapshot write costs < 5% of a tick-loop
 second** (i.e. < 50 ms wall) at 100 servers, and the checkpointed run's
 fingerprint is bit-identical to the baseline's -- resume correctness is
-never traded for speed, so the snapshot path takes no shortcuts.
+never traded for speed, so the snapshot path takes no shortcuts.  The
+``fast_vmt_ta`` row records its kernel path and bit identity without
+entering the gate.
 
 Results merge into ``BENCH_perf.json`` under ``checkpoint``, alongside
 the scaling and sanitizer numbers.
@@ -39,6 +45,8 @@ import time
 from repro.cluster.simulation import ClusterSimulation
 from repro.config import TraceConfig, paper_cluster_config
 from repro.core.policies import make_scheduler
+from repro.kernel import stepped
+from repro.perf.timing import interleaved_best, time_call
 from repro.state import (load_snapshot, restore_simulation, save_snapshot,
                          snapshot_manifest_path)
 
@@ -54,6 +62,50 @@ def _timed_run(sim) -> tuple:
     start = time.perf_counter()
     result = sim.run()
     return result, time.perf_counter() - start
+
+
+def fast_vmt_ta(config, every: int, repeats: int) -> dict:
+    """Fast VMT-TA with and without checkpoints, and on the stepped driver.
+
+    ``checkpointed`` is the planned kernel's segmented run;
+    ``checkpointed_stepped`` drives the same run through the stepped
+    driver directly, the path checkpointing runs took before.
+    """
+    def case(checkpoints: bool, drive=None):
+        def run():
+            with tempfile.TemporaryDirectory() as tmp:
+                extra = ({"checkpoint_every": every, "checkpoint_dir": tmp}
+                         if checkpoints else {})
+                sim = _build(config, "vmt-ta", backend="fast", **extra)
+                wall_s, result = time_call(
+                    sim.run if drive is None else lambda: drive(sim))
+                return {"wall_s": wall_s,
+                        "fingerprint": result.fingerprint(),
+                        "kernel_path": (sim.kernel_path if drive is None
+                                        else "stepped"),
+                        "snapshots": len(sim.checkpoint_records)}
+        return run
+
+    best = interleaved_best({
+        "plain": case(False),
+        "checkpointed": case(True),
+        "checkpointed_stepped": case(True, stepped.run),
+    }, repeats=repeats, key="wall_s")
+    plain, ckpt = best["plain"], best["checkpointed"]
+    return {
+        "policy": "vmt-ta",
+        "backend": "fast",
+        "kernel_path": ckpt["kernel_path"],
+        "bit_identical": (ckpt["fingerprint"] == plain["fingerprint"]
+                          == best["checkpointed_stepped"]["fingerprint"]),
+        "checkpoint_every": every,
+        "snapshots": ckpt["snapshots"],
+        "run_s": plain["wall_s"],
+        "checkpointed_run_s": ckpt["wall_s"],
+        "checkpointed_stepped_run_s":
+            best["checkpointed_stepped"]["wall_s"],
+        "checkpoint_overhead": ckpt["wall_s"] / plain["wall_s"] - 1.0,
+    }
 
 
 def main() -> int:
@@ -101,6 +153,7 @@ def main() -> int:
             for _ in range(args.repeats))
 
     overhead = ckpt_s / baseline_s - 1.0 if baseline_s > 0 else 0.0
+    ta_row = fast_vmt_ta(config, args.every, args.repeats)
     print(f"snapshot: capture {capture_s * 1000:.1f} ms, "
           f"capture+write {write_s * 1000:.1f} ms "
           f"({snapshot_bytes / 1024:.0f} KiB); "
@@ -108,6 +161,11 @@ def main() -> int:
     print(f"snapshot write vs bar: {write_s * 1000:.1f} ms "
           f"(bar: < {SNAPSHOT_BAR_S * 1000:.0f} ms); "
           f"run overhead at every={args.every}: {overhead * 100:.1f}%")
+    print(f"fast vmt-ta: {ta_row['run_s']:.3f} s, checkpointed "
+          f"{ta_row['checkpointed_run_s']:.3f} s on "
+          f"{ta_row['kernel_path']} (stepped "
+          f"{ta_row['checkpointed_stepped_run_s']:.3f} s), "
+          f"bit-identical: {ta_row['bit_identical']}")
 
     payload = {
         "num_servers": args.servers,
@@ -123,6 +181,7 @@ def main() -> int:
         "snapshot_bytes": snapshot_bytes,
         "restore_s": restore_s,
         "snapshot_share_of_tick_loop_second": write_s / 1.0,
+        "fast_vmt_ta": ta_row,
     }
     merged = {}
     if os.path.exists(args.out):

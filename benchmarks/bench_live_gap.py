@@ -51,8 +51,8 @@ def measure(num_servers: int, hours: float, seed: int, policy: str,
 
     def live(forecaster: str, mpc: bool = False, **kwargs):
         def run():
-            controller = (MPCController(config, horizon_steps=mpc_horizon,
-                                        max_workers=4) if mpc else None)
+            controller = (MPCController(config, horizon_steps=mpc_horizon)
+                          if mpc else None)
             return LiveRunner(config, policy,
                               TraceReplayFeed.from_config(config),
                               forecaster=forecaster, mpc=controller,

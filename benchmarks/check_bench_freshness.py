@@ -33,8 +33,10 @@ WATCHED = (
     "src/repro/perf",
     "src/repro/cluster/simulation.py",
     "src/repro/cluster/metrics.py",
-    # BENCH "live" times the MPC racer's shadow runs on the kernels.
+    # BENCH "live" times the MPC racer's shadow runs on the kernels,
+    # and the live loop that plans its segments on them.
     "src/repro/live/mpc.py",
+    "src/repro/live/runner.py",
     "benchmarks/bench_perf_scaling.py",
 )
 

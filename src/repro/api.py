@@ -334,6 +334,8 @@ def live_run(*, policy: Optional[str] = None,
     retargeted with at each decision boundary (``"oracle"`` |
     ``"last-value"``); ``mpc=True`` instead races candidate GVs through
     fast-backend shadow simulations forked from the live snapshot.
+    ``mpc_workers`` is accepted and validated (``>= 1``) and does
+    nothing: the shadows race one after another.
     ``speedup`` paces ingestion against the wall clock (e.g. ``60.0``
     plays one simulated minute per real second); ``None`` runs
     accelerated, as fast as rows can be consumed.

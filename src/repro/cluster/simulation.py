@@ -164,12 +164,25 @@ class ClusterSimulation:
 
     @property
     def kernel_path(self) -> str:
-        """Which kernel the last :meth:`run` used.
+        """Which kernel the last :meth:`run` or live stream used.
 
         ``planned`` or ``stepped`` when a fast-path kernel ran,
         ``reference`` otherwise (including before any run).
         """
         return self._kernel_path
+
+    @property
+    def plans_stream(self) -> bool:
+        """Whether :meth:`advance_stream` plans ticks instead of firing them.
+
+        True for a stream the planned kernel can take between two
+        decisions: a clean open-loop run (see
+        :func:`repro.kernel.planned.eligible`) that writes no
+        checkpoints.  A live snapshot must hold no row past its tick, so
+        a checkpointing stream fires each tick as its row arrives.
+        """
+        from ..kernel import planned
+        return self._checkpoint_every is None and planned.eligible(self)
 
     def add_observer(self, observer: Observer) -> None:
         """Register a per-tick observer (see class docstring)."""
@@ -555,12 +568,14 @@ class ClusterSimulation:
 
         The streaming spelling of :meth:`run`'s prologue: the caller (a
         :class:`~repro.live.LiveRunner`) feeds demand rows into the live
-        trace buffer and calls :meth:`advance_stream` once per arrival,
-        so the engine only ever advances to times whose demand has
-        actually been observed.  Tick events fire at exactly the same
-        simulation times as a batch run -- ``k * step_seconds`` -- which
-        is what keeps a live run with a perfect forecaster bit-identical
-        to the offline batch fingerprint.
+        trace buffer and calls :meth:`advance_stream` once the rows of
+        the ticks it advances over have arrived -- once per arrival, or,
+        when :attr:`plans_stream` holds, once per decision interval -- so
+        the simulation only ever advances over demand that has actually
+        been observed.  Ticks run at exactly the same simulation times
+        as a batch run -- ``k * step_seconds`` -- which is what keeps a
+        live run with a perfect forecaster bit-identical to the offline
+        batch fingerprint.
 
         Fault injection is not supported live yet: scripted fault events
         are scheduled against the full run span up front, which would be
@@ -590,16 +605,28 @@ class ClusterSimulation:
             name="scheduler-tick")
 
     def advance_stream(self, step_index: int) -> None:
-        """Fire the tick for ``step_index`` (its demand row must be fed).
+        """Run every tick up to ``step_index`` (their rows must be fed).
 
-        Delegates to :meth:`Engine.advance_to` at ``step_index *
-        step_seconds`` -- the exact time the batch tick process would
-        have fired this tick.
+        When :attr:`plans_stream` holds, the planned kernel plans the
+        ticks not yet run, leaving the state the engine would, and the
+        tick process is re-armed at ``(step_index + 1) * step_seconds``.
+        Otherwise this delegates to :meth:`Engine.advance_to` at
+        ``step_index * step_seconds`` -- the exact time the batch tick
+        process would have fired this tick.
         """
         if getattr(self, "_stream_process", None) is None:
             raise SimulationError(
                 "advance_stream requires begin_streaming first")
-        self._engine.advance_to(step_index * self._trace.step_seconds)
+        step_s = self._trace.step_seconds
+        if self.plans_stream:
+            stop = step_index + 1
+            if stop > self._step_index:
+                from ..kernel import planned
+                planned.advance(self, stop)
+                self._stream_process.rearm(stop * step_s)
+                self._kernel_path = "planned"
+            return
+        self._engine.advance_to(step_index * step_s)
 
     def finish_streaming(self) -> SimulationResult:
         """Tear down the stream and return the collected result.

@@ -17,14 +17,17 @@ globally via the ``REPRO_BACKEND`` environment variable.  The fast
 backend dispatches to the most aggressive kernel whose preconditions the
 run satisfies:
 
-* :mod:`.planned` -- whole-run batched kernel for every clean open-loop
-  run: VMT-TA at any grouping value and round-robin, whose placement
-  never reads thermal feedback, so the entire run is plannable up front
-  -- from tick 0, or from the tick a snapshot restored (checkpoint
-  resumes, MPC shadow simulations);
+* :mod:`.planned` -- batched kernel for every clean open-loop run:
+  VMT-TA at any grouping value and round-robin, whose placement never
+  reads thermal feedback, so any span of ticks whose rows are known is
+  plannable up front -- from tick 0, or from the tick a snapshot
+  restored (checkpoint resumes, MPC shadow simulations); a
+  checkpointing run in segments that end at each checkpoint tick; and,
+  whatever the backend, a live run one decision interval at a time
+  (:meth:`~repro.cluster.simulation.ClusterSimulation.advance_stream`);
 * :mod:`.stepped` -- the reference tick loop driven directly, without
   the event heap, per-tick re-validation, or dict plumbing (all
-  policies, checkpoints, sanitizer, observers);
+  policies, sanitizer, observers);
 * the reference engine loop for everything else (fault injection and
   telemetry schedule their own engine events, so they keep the engine).
 

@@ -43,12 +43,16 @@ construction:
   :meth:`MetricsCollector.fill_block` writes them into the same buffers
   ``record`` would have filled, NaN where a group is empty.
 
-A run restored from a snapshot at a tick boundary is planned the same
-way over its remaining ticks: the scheduler keeps its restored state
-(tick, RNG, round-robin's job map), the physics recurrences start from
-the restored air, wax and estimator state, the metrics clock continues
-from the restored cluster time, and the new rows append after the
-restored ones.
+The kernel plans any span of ticks ``[t0, t1)`` (:func:`advance`) and
+leaves exactly the state the reference loop leaves after firing tick
+``t1 - 1``: the scheduler keeps its state (tick, RNG, round-robin's job
+map, a retargeted grouping value), the physics recurrences start from
+the current air, wax and estimator state, the metrics clock continues
+from the cluster time, and the new rows append after the recorded ones.
+So a run restored from a snapshot is planned over its remaining ticks,
+a checkpointing run is planned in segments with each snapshot written
+between two of them, and a live run plans the ticks between two
+decisions once their rows have arrived.
 
 What stays python: the planning loop (per tick, one shuffle per placing
 pass and one bincount for VMT-TA; the scheduler's ``place`` for
@@ -83,48 +87,84 @@ except ImportError:  # pragma: no cover - numpy internals moved
         return np.clip(a, lo, hi, out=out)
 
 
-def try_run(sim) -> Optional["SimulationResult"]:
-    """Run ``sim`` through the planned kernel, or return ``None``.
+def eligible(sim) -> bool:
+    """Whether ``sim``'s next ticks can be planned.
 
     Eligibility mirrors exactly the situations where planning ahead is
     provably equivalent: a clean open-loop run (VMT-TA at any grouping
-    value, or round-robin) -- no faults, no sanitizer, no
-    telemetry/observers/checkpoints, no ambient profile, no live buffer
-    (whose rows past the ingested ones must not be read) -- that is
-    fresh or restored at a tick boundary with ticks left to run, and no
-    remaining tick demanding more cores than the cluster has (the
-    reference scheduler raises there).  A restored run is planned from
-    its restored tick onward.
+    value, or round-robin) -- no faults, no sanitizer, no telemetry or
+    observers, no ambient profile, a non-degenerate PCM -- whose
+    recorded metrics rows match its tick.  Batch runs (:func:`try_run`)
+    and live segments
+    (:meth:`~repro.cluster.simulation.ClusterSimulation.advance_stream`)
+    share this predicate.
     """
     if type(sim._scheduler) not in (VMTThermalAwareScheduler,
                                     RoundRobinScheduler):
-        return None
-    cluster = sim._cluster
-    t0 = sim._step_index
-    fresh = t0 == 0 and sim._engine.events_dispatched == 0
+        return False
     if (sim._injector is not None
             or sim._sanitizer is not None
             or sim._telemetry is not None
             or sim._observers
-            or sim._checkpoint_every is not None
-            or getattr(sim._trace, "is_live", False)
-            or not (fresh or sim._restored)
-            or sim._metrics.size != t0
-            or cluster._ambient is not None):
-        return None
+            or sim._metrics.size != sim._step_index
+            or sim._cluster._ambient is not None):
+        return False
     config = sim._config
     wax = config.wax
-    if (wax.mass_kg <= 0 or wax.latent_heat_j_per_kg <= 0
-            or config.thermal.ha_w_per_k == 0):
-        # Degenerate PCM: the reference models switch to special-cased
-        # branches (zero heat flow, step-function melt fraction) that
-        # are not worth mirroring here.
+    # Degenerate PCM: the reference models switch to special-cased
+    # branches (zero heat flow, step-function melt fraction) that are
+    # not worth mirroring here.
+    return (wax.mass_kg > 0 and wax.latent_heat_j_per_kg > 0
+            and config.thermal.ha_w_per_k != 0)
+
+
+def try_run(sim) -> Optional["SimulationResult"]:
+    """Run ``sim`` through the planned kernel, or return ``None``.
+
+    The run must be :func:`eligible`, on a batch trace (a live buffer's
+    rows past the ingested ones must not be read, so ``run()`` on one
+    steps and raises), fresh or restored at a tick boundary with ticks
+    left to run, and with no remaining tick demanding more cores than
+    the cluster has (the reference scheduler raises there).  A restored
+    run is planned from its restored tick onward.  A checkpointing run
+    is planned in segments that end at each checkpoint tick, and writes
+    each snapshot between two segments.
+    """
+    t0 = sim._step_index
+    fresh = t0 == 0 and sim._engine.events_dispatched == 0
+    if (getattr(sim._trace, "is_live", False)
+            or not (fresh or sim._restored)
+            or not eligible(sim)):
         return None
     counts = sim._trace._counts[t0:]
     if (counts.shape[0] == 0
-            or int(counts.sum(axis=1).max()) > config.total_cores):
+            or int(counts.sum(axis=1).max()) > sim._config.total_cores):
         return None
-    return _run(sim)
+    # A fresh reference run resets the scheduler before the first tick;
+    # a restored one continues from the snapshot's scheduler state.
+    if not sim._restored:
+        sim._scheduler.reset()
+    total = sim._trace.num_steps
+    engine = sim._engine
+    every = sim._checkpoint_every
+    if every is None:
+        advance(sim, total)
+    else:
+        while sim._step_index < total:
+            stop = min(total, (sim._step_index // every + 1) * every)
+            advance(sim, stop)
+            if stop % every == 0:
+                # The reference loop writes from inside the tick, before
+                # the engine counts that tick's dispatch.
+                engine._dispatched -= 1
+                sim._write_checkpoint()
+                engine._dispatched += 1
+    engine._now = max(engine._now,
+                      total * sim._trace.step_seconds - 1e-9)
+    prof = sim._profiler
+    profile = prof.snapshot() if prof is not None else None
+    return sim._metrics.finish(sim._config, sim._scheduler.name,
+                               profile=profile)
 
 
 def _fitted_slice(rows: np.ndarray, capacity: int) -> np.ndarray:
@@ -318,7 +358,22 @@ def _plan_round_robin(sched: RoundRobinScheduler, counts: np.ndarray,
     return block
 
 
-def _run(sim):
+def advance(sim, t1: int) -> None:
+    """Plan ticks ``[t0, t1)`` of ``sim``, where ``t0`` is its next tick.
+
+    Reads only rows ``[t0, t1)`` of the trace: on a live buffer a row
+    that has not arrived raises :class:`~repro.errors.TraceError`, as
+    ``demand_at`` does, before any state changes.  Afterwards ``sim``
+    holds exactly the state the reference loop leaves after firing tick
+    ``t1 - 1``: the metrics rows; the scheduler's tick, RNG and job map;
+    the cluster arrays and clock; ``_last_allocation``; the engine clock
+    at ``(t1 - 1) * dt``; and the dispatch counter, up by ``t1 - t0``.
+    It never resets the scheduler, so a retargeted grouping value
+    stays.  The caller checks :func:`eligible`, ``t0 < t1``, and that
+    every row fits the cluster.
+    """
+    # The segment's last row, read through the trace's own guard.
+    sim._trace.demand_at(t1 - 1)
     prof = sim._profiler
     clock = time.perf_counter
     setup_start = clock()
@@ -338,10 +393,9 @@ def _run(sim):
     engine = sim._engine
 
     n = config.num_servers
-    # A restored run plans the remaining ticks [t0, t0 + T) only.
     t0 = sim._step_index
-    counts = sim._trace._counts[t0:]
-    T = counts.shape[0]
+    counts = sim._trace._counts[t0:t1]
+    T = t1 - t0
     dt = sim._trace.step_seconds
     cores = config.server.cores
 
@@ -361,10 +415,6 @@ def _run(sim):
     n_sub = max(1, int(math.ceil(dt / (0.25 * tau))))
     sub_dt = dt / n_sub
 
-    # A fresh reference run resets the scheduler before the first tick;
-    # a restored one continues from the snapshot's scheduler state.
-    if not sim._restored:
-        sched.reset()
     first_tick = sched._tick
 
     # ---- plan: replay the placement for every tick -----------------------
@@ -482,7 +532,7 @@ def _run(sim):
     )
     metrics_elapsed = clock() - metrics_start
 
-    # ---- sync live state to the post-run reference values ----------------
+    # ---- sync live state to the reference values after tick t1 - 1 -------
     air._temp = temp_block[T - 1].copy()
     pcm._h = h_block[T - 1].copy()
     estimator._estimate = est
@@ -492,10 +542,10 @@ def _run(sim):
     cluster._last_melt_fraction = truth_block[T - 1].copy()
     cluster._time_s = t_acc
     sched._tick = first_tick + T
-    sim._step_index = t0 + T
+    sim._step_index = t1
     sim._last_allocation = (alloc_block[T - 1]
                             .reshape(n, _K).astype(np.int64))
-    engine._now = max(engine._now, (t0 + T) * dt - 1e-9)
+    engine._now = (t1 - 1) * dt
     engine._dispatched += T
 
     if prof is not None:
@@ -505,8 +555,6 @@ def _run(sim):
         prof.add("dispatch", clock() - setup_start - plan_elapsed
                  - step_elapsed - metrics_elapsed)
         prof.count_ticks(T)
-    profile = prof.snapshot() if prof is not None else None
-    return sim._metrics.finish(config, sched.name, profile=profile)
 
 
 def _python_air_pcm(targets, temp0, h_store, temp_block, h_block, alpha,

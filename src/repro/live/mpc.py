@@ -14,7 +14,8 @@ candidate with the lowest predicted peak wins.
 Every policy reads a grouping value only through its Eq. 1 hot-group
 size, so candidates of one size would race bit-identical shadows: one
 shadow runs per distinct size, and its peak scores every candidate of
-that size.
+that size.  The shadows run one after another: they are python and
+numpy work on small arrays, which the GIL serialises across threads.
 
 Shadows restore with ``trace_check=False``: they deliberately run
 against a forecast trace whose fingerprint differs from the live
@@ -23,7 +24,6 @@ buffer's, which is the one sanctioned use of that escape hatch.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -57,7 +57,11 @@ class MPCDecision:
 
 
 class MPCController:
-    """Race candidate grouping values through shadow simulations."""
+    """Race candidate grouping values through shadow simulations.
+
+    ``max_workers`` is accepted and validated (``>= 1``) for
+    compatibility, and does nothing: the shadows race sequentially.
+    """
 
     def __init__(self, config: SimulationConfig, *,
                  horizon_steps: int = 60,
@@ -70,7 +74,6 @@ class MPCController:
         self._config = config
         self._horizon = int(horizon_steps)
         self._gv_deltas = tuple(float(d) for d in gv_deltas)
-        self._max_workers = int(max_workers)
         self._decisions: List[MPCDecision] = []
 
     @property
@@ -143,17 +146,9 @@ class MPCController:
         racers = {}
         for size, gv in zip(sizes, candidates):
             racers.setdefault(size, gv)
-        if len(racers) == 1 or self._max_workers == 1:
-            peaks = [self._score_shadow(snapshot, shadow_trace, gv,
-                                        history_rows)
-                     for gv in racers.values()]
-        else:
-            workers = min(self._max_workers, len(racers))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(self._score_shadow, snapshot,
-                                       shadow_trace, gv, history_rows)
-                           for gv in racers.values()]
-                peaks = [f.result() for f in futures]
+        peaks = [self._score_shadow(snapshot, shadow_trace, gv,
+                                    history_rows)
+                 for gv in racers.values()]
         peak_by_size = dict(zip(racers, peaks))
         scores = [peak_by_size[size] for size in sizes]
 

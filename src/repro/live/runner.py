@@ -11,8 +11,16 @@ through its streaming entry points, one arrival at a time:
    the forecaster's GV estimate, or via the
    :class:`~repro.live.mpc.MPCController`'s shadow-simulation race;
 4. :meth:`~repro.cluster.simulation.ClusterSimulation.advance_stream`
-   fires the tick at exactly ``k * step_seconds``, the same simulation
-   time the offline batch process would have used.
+   runs the ticks whose rows have arrived, at exactly ``k *
+   step_seconds``, the same simulation times the offline batch process
+   would have used.  Between two decisions a VMT-TA or round-robin run
+   is open-loop, so when the simulation
+   :attr:`~repro.cluster.simulation.ClusterSimulation.plans_stream`,
+   the runner advances once before each decision and once after the
+   feed ends, and the planned kernel plans each decision interval as
+   one segment.  Any other run (closed-loop policies, telemetry, the
+   sanitizer, observers, ambient profiles, checkpoints) advances one
+   tick per arrival on the event engine.
 
 Step 4's exact tick times are what make the oracle differential test
 possible: with a perfect forecaster every decision is a no-op, so the
@@ -163,6 +171,7 @@ class LiveRunner:
         pace = (None if self._speedup is None
                 else step_s / self._speedup)
         self._sim.begin_streaming()
+        segmented = self._sim.plans_stream
         steps = 0
         for step, row in self._feed.iter_rows(start=start_step):
             if step != self._buffer.filled:
@@ -172,11 +181,18 @@ class LiveRunner:
             self._buffer.append(row)
             self._forecaster.observe(step, row)
             if step % self._decision_every == 0:
+                if segmented:
+                    # Every tick before this decision (a no-op when
+                    # none is pending).
+                    self._sim.advance_stream(step - 1)
                 self._decide(step)
-            self._sim.advance_stream(step)
+            if not segmented:
+                self._sim.advance_stream(step)
             steps += 1
             if pace is not None:
                 _time.sleep(pace)
+        if segmented:
+            self._sim.advance_stream(self._buffer.filled - 1)
         result = self._sim.finish_streaming()
         return LiveRunReport(
             result=result,

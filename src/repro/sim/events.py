@@ -53,6 +53,11 @@ class EventQueue:
         """Insert an event and return it (for later cancellation)."""
         if event.time < 0:
             raise SimulationError("cannot schedule an event before time 0")
+        # Drop cancelled events at the head, so a process re-armed many
+        # times between dispatches leaves no pile of tombstones.
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
         heapq.heappush(
             self._heap, (event.time, event.priority, next(self._counter), event))
         return event

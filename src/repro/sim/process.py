@@ -55,6 +55,18 @@ class PeriodicProcess:
                 self._period, self._fire, priority=self._priority,
                 name=self._name)
 
+    def rearm(self, at_s: float) -> None:
+        """Move the next tick to ``at_s``.
+
+        For a driver that ran the ticks before ``at_s`` without the
+        engine: the queued tick is cancelled and the process resumes
+        from ``at_s``.
+        """
+        if self._pending is not None:
+            self._pending.cancel()
+        self._pending = self._engine.schedule_at(
+            at_s, self._fire, priority=self._priority, name=self._name)
+
     def stop(self) -> None:
         """Halt the process; any queued tick is cancelled."""
         self._stopped = True

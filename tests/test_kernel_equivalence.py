@@ -17,7 +17,10 @@ cases below add the ticks where VMT-TA spills across groups, the empty
 groups, and round-robin; a hypothesis oracle checks the planner's
 closed-form spill placement tick by tick against the scheduler itself.
 Runs restored from a mid-run checkpoint are planned from the restored
-tick, and must finish exactly as the straight reference run does.
+tick, and must finish exactly as the straight reference run does.  The
+kernel also stops at any tick: a checkpointing run is planned in
+segments, and every snapshot it writes between two segments must equal
+the reference run's at that tick.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ from repro.config import (CoolingFaultSpec, FaultConfig, SensorFaultSpec,
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
 from repro.core.scheduler import NUM_WORKLOADS
 from repro.core.vmt_ta import VMTThermalAwareScheduler
-from repro.kernel import is_numba_available, resolve_backend
+from repro.kernel import is_numba_available, planned, resolve_backend
 from repro.kernel.planned import plan_vmt_ta
 from repro.errors import ConfigurationError, TraceError
 from repro.live import LiveTraceBuffer
 from repro.scenarios import get_scenario
 from repro.state.checkpoint import (checkpoint_path, latest_checkpoint,
                                     restore_simulation, verify_roundtrip)
+from repro.state.snapshot import load_snapshot
 
 NUM_SERVERS = 24
 HOURS = 6.0
@@ -109,6 +113,17 @@ def resume_case(case: str):
     if case == "default":
         return small_config(), "vmt-ta"
     return open_loop_case(case)
+
+
+def partly_filled_buffer(config, rows: int) -> LiveTraceBuffer:
+    """A live buffer holding the first ``rows`` of ``config``'s trace."""
+    trace = ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                              record_heatmaps=False).trace
+    buffer = LiveTraceBuffer(trace.num_steps, trace.step_seconds,
+                             trace.total_cores)
+    for step in range(rows):
+        buffer.append(trace.demand_at(step))
+    return buffer
 
 
 def run_backend(config, policy: str, backend: str):
@@ -296,7 +311,7 @@ class TestDispatch:
         sim.run()
         assert sim.kernel_path == "stepped"
 
-    def test_restored_checkpointing_run_stays_stepped(self, tmp_path):
+    def test_restored_checkpointing_run_is_planned(self, tmp_path):
         config = small_config()
         straight, _ = run_backend(config, "vmt-ta", "reference")
         first, again = tmp_path / "first", tmp_path / "again"
@@ -308,7 +323,7 @@ class TestDispatch:
                                  backend="fast", checkpoint_every=120,
                                  checkpoint_dir=str(again))
         verify_roundtrip(straight, sim.run())
-        assert sim.kernel_path == "stepped"
+        assert sim.kernel_path == "planned"
         assert [r["tick"] for r in sim.checkpoint_records] == [240, 360]
 
     def test_run_restored_at_its_final_tick_returns_the_result(
@@ -330,15 +345,9 @@ class TestDispatch:
         planned kernel would read them up front as zero demand, so a
         run on one steps and fails like the reference loop."""
         config = small_config()
-        trace = ClusterSimulation(config, make_scheduler("vmt-ta", config),
-                                  record_heatmaps=False).trace
-        buffer = LiveTraceBuffer(trace.num_steps, trace.step_seconds,
-                                 trace.total_cores)
-        for step in range(10):
-            buffer.append(trace.demand_at(step))
         sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
-                                trace=buffer, record_heatmaps=False,
-                                backend="fast")
+                                trace=partly_filled_buffer(config, 10),
+                                record_heatmaps=False, backend="fast")
         with pytest.raises(TraceError, match="no lookahead"):
             sim.run()
         assert sim.kernel_path == "stepped"
@@ -425,6 +434,58 @@ class TestCheckpointRoundtrip:
             fast_snap = fast_sim.snapshot()
             assert ref_snap.tick == fast_snap.tick
             assert_state_trees_equal(ref_snap.state, fast_snap.state)
+
+
+class TestPlannedSegments:
+    """``planned.advance`` stops at any tick with the reference state."""
+
+    @pytest.mark.parametrize("policy, every",
+                             [("vmt-ta", 60), ("round-robin", 45)])
+    def test_checkpoints_equal_the_reference_run(self, policy, every,
+                                                 tmp_path):
+        config = small_config()
+        sims, results = {}, {}
+        for backend in ("reference", "fast"):
+            sim = ClusterSimulation(
+                config, make_scheduler(policy, config),
+                backend=backend, checkpoint_every=every,
+                checkpoint_dir=str(tmp_path / backend))
+            results[backend] = sim.run()
+            sims[backend] = sim
+        assert sims["fast"].kernel_path == "planned"
+        assert (results["fast"].fingerprint()
+                == results["reference"].fingerprint())
+        ticks = [r["tick"] for r in sims["reference"].checkpoint_records]
+        assert ticks == list(range(every, config.trace.num_steps + 1,
+                                   every))
+        assert [r["tick"] for r in sims["fast"].checkpoint_records] == ticks
+        for tick in ticks:
+            expected = load_snapshot(
+                checkpoint_path(str(tmp_path / "reference"), tick))
+            got = load_snapshot(checkpoint_path(str(tmp_path / "fast"), tick))
+            assert got.tick == expected.tick == tick
+            assert_state_trees_equal(expected.state, got.state)
+
+    def test_segment_past_the_arrived_rows_raises_and_changes_nothing(self):
+        config = small_config()
+        buffer = partly_filled_buffer(config, 10)
+        sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                trace=buffer, record_heatmaps=False)
+        sim.begin_streaming()
+        assert sim.plans_stream
+        sim.advance_stream(4)
+        before = sim.snapshot()
+        with pytest.raises(TraceError, match="no lookahead"):
+            planned.advance(sim, 11)
+        with pytest.raises(TraceError, match="no lookahead"):
+            sim.advance_stream(10)
+        after = sim.snapshot()
+        assert before.tick == after.tick == 5
+        assert_state_trees_equal(before.state, after.state)
+        assert buffer.filled == 10
+        sim.advance_stream(9)  # every arrived row still plans
+        assert sim.kernel_path == "planned"
+        assert sim.finish_streaming().times_s.shape == (10,)
 
 
 class TestParallelModes:

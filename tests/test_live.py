@@ -7,16 +7,25 @@ forecaster is then a measured property of the forecaster, not a harness
 artifact.  Around that: no-lookahead enforcement, feed framing, live
 determinism, MPC shadow racing, mid-stream checkpoint/resume as state
 migration, and the cooperative (thread-safe) run timeout.
+
+A clean open-loop live run plans each decision interval as one segment;
+it must match the per-row path (one engine tick per arrival, forced by
+attaching an observer) in fingerprint, control trail and the snapshot
+state tree at every decision, on hand-picked and generated cases.
 """
 
 import glob
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_kernel_equivalence import assert_state_trees_equal
 
 from repro import api
 from repro.cluster.simulation import ClusterSimulation, run_simulation
-from repro.config import SimulationConfig, TraceConfig
+from repro.config import SimulationConfig, TraceConfig, paper_cluster_config
 from repro.core.grouping import hot_group_size
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
 from repro.errors import SimulationError, TraceError
@@ -25,7 +34,7 @@ from repro.live import (JsonlFeed, LiveRunner, LiveTraceBuffer,
                         TraceReplayFeed, invert_grouping_value,
                         make_feed, make_forecaster, resume_live)
 from repro.perf.runner import ExperimentRunner, RunFailure, RunSpec
-from repro.state.checkpoint import verify_roundtrip
+from repro.state.checkpoint import checkpoint_path, verify_roundtrip
 from repro.workloads.workload import HOT_INDICES, WORKLOAD_LIST
 
 NUM_WORKLOADS = len(WORKLOAD_LIST)
@@ -35,6 +44,52 @@ def tiny_config(hours=2.0, servers=6, seed=11):
     return SimulationConfig(
         num_servers=servers, seed=seed,
         trace=TraceConfig(duration_hours=hours))
+
+
+def _noop_observer(time_s, demand, placement, cluster):
+    """Attached only to force the per-row path."""
+
+
+def run_live(config, policy, feed, *, per_row, decision_every,
+             forecaster="last-value", mpc_horizon=None, **kwargs):
+    """One live run: (report, state tree at every decision, simulation).
+
+    ``per_row`` attaches a no-op observer, so the run fires one engine
+    tick per arrival instead of planning each decision interval.
+    """
+    mpc = (None if mpc_horizon is None
+           else MPCController(config, horizon_steps=mpc_horizon))
+    runner = LiveRunner(config, policy, feed, forecaster=forecaster,
+                        decision_every=decision_every, mpc=mpc, **kwargs)
+    sim = runner.simulation
+    if per_row:
+        sim.add_observer(_noop_observer)
+    states = []
+    decide = runner._decide
+
+    def capture(step):
+        states.append(sim.snapshot().state)
+        decide(step)
+
+    runner._decide = capture
+    return runner.run(), states, sim
+
+
+def assert_live_runs_equal(planned_run, per_row_run):
+    """Planned segments against the per-row path, decision by decision."""
+    (planned, planned_states, planned_sim) = planned_run
+    (per_row, per_row_states, per_row_sim) = per_row_run
+    assert planned_sim.kernel_path == "planned"
+    assert per_row_sim.kernel_path == "reference"
+    assert planned.result.fingerprint() == per_row.result.fingerprint()
+    assert planned.steps_ingested == per_row.steps_ingested
+    assert planned.gv_trail == per_row.gv_trail
+    assert planned.mpc_decisions == per_row.mpc_decisions
+    assert len(planned_states) == len(per_row_states)
+    for expected, got in zip(per_row_states, planned_states):
+        assert_state_trees_equal(expected, got)
+    assert_state_trees_equal(per_row_sim.snapshot().state,
+                             planned_sim.snapshot().state)
 
 
 class TestLiveTraceBuffer:
@@ -395,6 +450,147 @@ class TestLiveMigration:
         mid = sorted(glob.glob(str(tmp_path / "*.npz")))[0]
         resumed = api.live_run(resume_from=mid, forecaster="oracle")
         verify_roundtrip(straight.result, resumed.result)
+
+
+class TestSegmentPlanning:
+    """Open-loop live runs plan each decision interval as one segment."""
+
+    @pytest.mark.parametrize("mpc", (False, True), ids=("forecast", "mpc"))
+    @pytest.mark.parametrize("cadence", (1, 7, 60))
+    @pytest.mark.parametrize("policy", ("vmt-ta", "round-robin"))
+    def test_segments_match_the_per_row_path(self, policy, cadence, mpc):
+        config = tiny_config(hours=2.0, servers=8, seed=7)
+        runs = [run_live(config, policy, TraceReplayFeed.from_config(config),
+                         per_row=per_row, decision_every=cadence,
+                         mpc_horizon=10 if mpc else None)
+                for per_row in (False, True)]
+        assert len(runs[0][1]) == -(-config.trace.num_steps // cadence)
+        assert_live_runs_equal(*runs)
+
+    def test_observer_attached_mid_stream_takes_over_on_the_engine(self):
+        """Planned ticks re-arm the tick process, so a stream that stops
+        being plannable fires its next tick on the engine, on time."""
+        config = tiny_config(hours=2.0, servers=8, seed=7)
+        trace = TraceReplayFeed.from_config(config).trace
+        buffer = LiveTraceBuffer(trace.num_steps, trace.step_seconds,
+                                 trace.total_cores)
+        sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                trace=buffer)
+        sim.begin_streaming()
+        for step in range(trace.num_steps):
+            buffer.append(trace.demand_at(step))
+            if step < 50:
+                sim.advance_stream(step)
+        assert sim.kernel_path == "planned"
+        assert len(sim.engine._queue) == 1  # no pile of cancelled ticks
+        seen = []
+        sim.add_observer(lambda time_s, *_: seen.append(time_s))
+        assert not sim.plans_stream
+        sim.advance_stream(trace.num_steps - 1)
+        assert seen[0] == 51 * trace.step_seconds
+        assert len(seen) == trace.num_steps - 50
+        assert sim.engine.events_dispatched == trace.num_steps
+        batch = run_simulation(config, make_scheduler("vmt-ta", config))
+        assert sim.finish_streaming().fingerprint() == batch.fingerprint()
+
+    def test_early_closed_jsonl_feed(self):
+        config = tiny_config(hours=2.0, servers=8, seed=7)
+        counts = TraceReplayFeed.from_config(config).trace.counts
+        lines = [json.dumps({"num_steps": config.trace.num_steps,
+                             "step_seconds": config.trace.step_seconds,
+                             "total_cores": config.total_cores})]
+        lines += [json.dumps({"jobs": row.tolist()}) for row in counts[:77]]
+        runs = [run_live(config, "vmt-ta", JsonlFeed(lines), per_row=per_row,
+                         decision_every=15)
+                for per_row in (False, True)]
+        assert runs[0][0].steps_ingested == 77
+        assert len(runs[0][0].result.times_s) == 77
+        assert_live_runs_equal(*runs)
+
+    def test_resume_live_plans_from_the_restored_tick(self, tmp_path):
+        config = tiny_config(hours=4.0, servers=8, seed=7)
+        straight = LiveRunner(config, "vmt-ta",
+                              TraceReplayFeed.from_config(config),
+                              forecaster="last-value",
+                              decision_every=15).run()
+        LiveRunner(config, "vmt-ta", TraceReplayFeed.from_config(config),
+                   forecaster="last-value", decision_every=15,
+                   checkpoint_every=60, checkpoint_dir=str(tmp_path)).run()
+        runner = resume_live(checkpoint_path(str(tmp_path), 120),
+                             TraceReplayFeed.from_config(config),
+                             forecaster="last-value", decision_every=15)
+        resumed = runner.run()
+        assert runner.simulation.kernel_path == "planned"
+        assert resumed.steps_ingested == config.trace.num_steps - 120
+        assert resumed.result.fingerprint() == straight.result.fingerprint()
+
+    @pytest.mark.parametrize("policy, option, path", [
+        ("vmt-ta", None, "planned"),
+        ("round-robin", None, "planned"),
+        ("vmt-wa", None, "reference"),
+        ("vmt-ta", "telemetry", "reference"),
+        ("vmt-ta", "checkpoints", "reference"),
+        ("vmt-ta", "sanitizer", "reference"),
+    ])
+    def test_dispatch(self, policy, option, path, tmp_path):
+        config = tiny_config()
+        kwargs = {None: {},
+                  "telemetry": {"telemetry": str(tmp_path)},
+                  "checkpoints": {"checkpoint_every": 30,
+                                  "checkpoint_dir": str(tmp_path)},
+                  "sanitizer": {"checks": "cheap"}}[option]
+        runner = LiveRunner(config, policy,
+                            TraceReplayFeed.from_config(config),
+                            forecaster="oracle", **kwargs)
+        assert runner.simulation.plans_stream == (path == "planned")
+        report = runner.run()
+        assert runner.simulation.kernel_path == path
+        batch = run_simulation(config, make_scheduler(policy, config))
+        assert report.result.fingerprint() == batch.fingerprint()
+
+
+@st.composite
+def live_cases(draw):
+    """(servers, hours, gv, cadence, policy, forecaster, feed, horizon,
+    seed) of one open-loop live run; ``horizon`` None runs no MPC."""
+    return (draw(st.integers(4, 16)), draw(st.integers(1, 6)),
+            draw(st.floats(1.0, 36.0)), draw(st.integers(1, 90)),
+            draw(st.sampled_from(("vmt-ta", "round-robin"))),
+            draw(st.sampled_from(("oracle", "last-value"))),
+            draw(st.sampled_from(("replay", "synthetic"))),
+            draw(st.none() | st.integers(5, 60)),
+            draw(st.integers(0, 99)))
+
+
+class TestGeneratedLiveDifferential:
+    """Generated open-loop live runs: planned segments == per-row path,
+    decision by decision, and with the oracle over a replay feed and no
+    MPC, == the batch reference run."""
+
+    @given(case=live_cases())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @example(case=(6, 1, 22.0, 1, "vmt-ta", "last-value", "replay", 5, 3))
+    # Hot group sizes 0 and n of 8 servers (Eq. 1, PMT 35.7 C).
+    @example(case=(8, 2, 1.0, 30, "vmt-ta", "oracle", "replay", None, 7))
+    @example(case=(8, 2, 36.0, 30, "vmt-ta", "oracle", "replay", None, 7))
+    def test_planned_live_run_equals_per_row(self, case):
+        (servers, hours, gv, cadence, policy, forecaster, feed, horizon,
+         seed) = case
+        config = paper_cluster_config(
+            num_servers=servers, grouping_value=gv, seed=seed).replace(
+                trace=TraceConfig(duration_hours=hours))
+        if feed == "synthetic" and horizon is not None:
+            # The oracle forecasts only from a recorded trace.
+            forecaster = "last-value"
+        runs = [run_live(config, policy, make_feed(feed, config, seed=seed),
+                         per_row=per_row, decision_every=cadence,
+                         forecaster=forecaster, mpc_horizon=horizon)
+                for per_row in (False, True)]
+        assert_live_runs_equal(*runs)
+        if forecaster == "oracle" and feed == "replay" and horizon is None:
+            batch = run_simulation(config, make_scheduler(policy, config),
+                                   backend="reference")
+            assert runs[0][0].result.fingerprint() == batch.fingerprint()
 
 
 class TestThreadedTimeout:
