@@ -1,38 +1,40 @@
-"""Performance scaling benchmark: tick rate per backend, parallel speedup.
+"""Performance scaling benchmark: tick rate per driver, parallel speedup.
 
 Unlike the ``bench_fig*`` files (pytest-benchmark reproductions of the
 paper's figures), this is a standalone script measuring the simulator
 itself:
 
-* **tick rate** -- ticks/second of one full simulation run, measured
-  for both tick engines (``backend="reference"`` and ``"fast"``) with
-  the fingerprints asserted bit-identical, plus the resulting speedup;
-* **paper scale** -- the fast backend at the paper's full 1,000-server
+* **tick rate** -- ticks/second of one full clean VMT-TA run on both
+  tick drivers: the planned kernel (the default for such a run) and the
+  per-tick driver (``stepped``, forced by attaching a no-op observer),
+  with the fingerprints asserted bit-identical, plus the resulting
+  speedup;
+* **paper scale** -- the planned kernel at the paper's full 1,000-server
   cluster over a two-day trace at GV 14, 22, 30 and 36 (the points a
   laptop study iterates on, from heavy hot-group overflow to a hot
   group spanning every server), each recorded against a 10 s target;
 * **sweep points** -- every point of the GV sweep plus its round-robin
-  baseline run alone on the fast backend, with the kernel path it took
-  and, for VMT-TA, the hot-group size and the share of ticks whose
-  demand overflows a group (those ticks take the spill passes);
+  baseline run alone, with the kernel path it took and, for VMT-TA, the
+  hot-group size and the share of ticks whose demand overflows a group
+  (those ticks take the spill passes);
 * **sweep wall-clock** -- a GV sweep through the
   :class:`~repro.perf.runner.ExperimentRunner` run serially, through
   the process pool, and through the thread pool (threads share the
-  parent's read-only trace arrays, so they pair well with the fast
-  backend's release of the GIL inside numpy).
+  parent's read-only trace arrays, so they pair well with the planned
+  kernel's release of the GIL inside numpy).
 
 All timings follow :mod:`repro.perf.timing`: one untimed warm-up per
 case, then best-of-``--repeats`` with the cases interleaved round-robin
-so machine-speed drift cannot bias one backend's block of runs.
+so machine-speed drift cannot bias one driver's block of runs.
 
 Results go to ``BENCH_perf.json``.  Parallel speedup is only meaningful
 with real cores: the JSON records ``cpu_count`` so a 1-core container
 reporting ~1x is legible as an environment limit, not a regression.
-The exit status is the CI gate: nonzero when the backends disagree on a
+The exit status is the CI gate: nonzero when the drivers disagree on a
 single bit, when a sweep mode changes a result, when the measured
-fast-vs-reference speedup falls below ``--min-speedup``, or when a clean
-VMT-TA or round-robin point (sweep or paper scale) takes a kernel path
-other than ``planned``.
+planned-vs-stepped speedup falls below ``--min-speedup``, or when a
+clean VMT-TA or round-robin point (tick rate, sweep or paper scale)
+takes a kernel path other than ``planned``.
 
 Run::
 
@@ -57,7 +59,8 @@ from repro.perf.cache import clear_shared_cache, shared_trace
 from repro.perf.timing import interleaved_best, time_call
 from repro.workloads.workload import COLD_INDICES, HOT_INDICES
 
-BACKENDS = ("reference", "fast")
+#: The tick drivers the tick-rate runs compare.
+DRIVERS = ("stepped", "planned")
 
 #: Grouping values of the paper-scale points.
 PAPER_GVS = (14.0, 22.0, 30.0, 36.0)
@@ -95,10 +98,21 @@ def group_load(config) -> dict:
             "spill_tick_pct": 100.0 * float(spill.mean())}
 
 
-def run_once(config, backend: str, policy: str = "vmt-ta") -> dict:
-    """Wall-clock one serial run; return ticks/sec and the fingerprint."""
+def _noop_observer(time_s, demand, placement, cluster):
+    """Attached only to force the per-tick driver."""
+
+
+def run_once(config, policy: str = "vmt-ta", *,
+             per_tick: bool = False) -> dict:
+    """Wall-clock one serial run; return ticks/sec and the fingerprint.
+
+    ``per_tick`` forces the per-tick driver (the planned kernel refuses
+    runs with observers).
+    """
     sim = ClusterSimulation(config, make_scheduler(policy, config),
-                            record_heatmaps=False, backend=backend)
+                            record_heatmaps=False)
+    if per_tick:
+        sim.add_observer(_noop_observer)
     ticks = sim.trace.num_steps
     elapsed, result = time_call(sim.run)
     return {
@@ -111,34 +125,32 @@ def run_once(config, backend: str, policy: str = "vmt-ta") -> dict:
 
 
 def measure_tick_rate(num_servers: int, hours: float, seed: int,
-                      backends: tuple, repeats: int) -> dict:
-    """Best-of-N tick rate per backend, interleaved, plus the speedup."""
+                      repeats: int) -> dict:
+    """Best-of-N tick rate per driver, interleaved, plus the speedup."""
     config = make_config(num_servers, seed, hours=hours)
     best = interleaved_best(
-        {backend: (lambda backend=backend: run_once(config, backend))
-         for backend in backends},
+        {driver: (lambda driver=driver: run_once(
+            config, per_tick=driver == "stepped"))
+         for driver in DRIVERS},
         repeats=repeats, key="wall_s")
-    payload = {
+    stepped, planned = best["stepped"], best["planned"]
+    return {
         "num_servers": num_servers,
         "hours": hours,
         "repeats": repeats,
-        "backends": best,
+        "drivers": best,
+        "speedup": stepped["wall_s"] / planned["wall_s"],
+        "bit_identical": stepped["fingerprint"] == planned["fingerprint"],
     }
-    if len(backends) == 2:
-        ref, fast = best["reference"], best["fast"]
-        payload["speedup"] = ref["wall_s"] / fast["wall_s"]
-        payload["bit_identical"] = (
-            ref["fingerprint"] == fast["fingerprint"])
-    return payload
 
 
 def measure_paper_scale(num_servers: int, hours: float, seed: int,
                         repeats: int) -> dict:
-    """The fast backend at full paper scale, against a 10 s target."""
+    """The planned kernel at full paper scale, against a 10 s target."""
     configs = {f"{gv:g}": make_config(num_servers, seed, gv, hours)
                for gv in PAPER_GVS}
     best = interleaved_best(
-        {name: (lambda config=config: run_once(config, "fast"))
+        {name: (lambda config=config: run_once(config))
          for name, config in configs.items()},
         repeats=repeats, key="wall_s")
     points = {name: {**group_load(config), **best[name]}
@@ -155,13 +167,12 @@ def measure_paper_scale(num_servers: int, hours: float, seed: int,
 
 def measure_sweep_points(num_servers: int, points: int, seed: int,
                          repeats: int) -> dict:
-    """Each sweep point run alone on the fast backend, with its path."""
+    """Each sweep point run alone, with the kernel path it took."""
     configs = {f"{gv:g}": make_config(num_servers, seed, gv)
                for gv in sweep_gvs(points)}
     baseline = make_config(num_servers, seed)
-    cases = {"round-robin": lambda: run_once(baseline, "fast",
-                                             policy="round-robin")}
-    cases.update({name: (lambda config=config: run_once(config, "fast"))
+    cases = {"round-robin": lambda: run_once(baseline, "round-robin")}
+    cases.update({name: (lambda config=config: run_once(config))
                   for name, config in configs.items()})
     best = interleaved_best(cases, repeats=repeats, key="wall_s")
     rows = {}
@@ -180,7 +191,7 @@ def measure_sweep_points(num_servers: int, points: int, seed: int,
 
 
 def measure_sweep(num_servers: int, points: int, workers: int, seed: int,
-                  backend: str, repeats: int) -> dict:
+                  repeats: int) -> dict:
     """Time one GV sweep serially vs the process and thread pools."""
     gvs = sweep_gvs(points)
 
@@ -189,7 +200,7 @@ def measure_sweep(num_servers: int, points: int, workers: int, seed: int,
         elapsed, sweep = time_call(lambda: gv_sweep(
             gvs, policies=("vmt-ta",), num_servers=num_servers,
             seed=seed, max_workers=max_workers,
-            workers_mode=workers_mode, backend=backend))
+            workers_mode=workers_mode))
         return {"wall_s": elapsed, "sweep": sweep}
 
     best = interleaved_best(
@@ -209,7 +220,6 @@ def measure_sweep(num_servers: int, points: int, workers: int, seed: int,
         "points": points,
         "num_servers": num_servers,
         "workers": workers,
-        "backend": backend,
         "repeats": repeats,
         "bit_identical": bool(identical),
         "modes": {},
@@ -238,43 +248,38 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N interleaved runs per case")
-    parser.add_argument("--backend", choices=("both",) + BACKENDS,
-                        default="both",
-                        help="tick engines to measure (default: both, "
-                             "which also gates on their speedup)")
     parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="fail (exit 1) when fast/reference falls "
+                        help="fail (exit 1) when the planned kernel's "
+                             "speedup over the per-tick driver falls "
                              "below this ratio")
     parser.add_argument("--paper-servers", type=int, default=1000,
-                        help="cluster size for the paper-scale fast run "
-                             "(0 skips it)")
+                        help="cluster size for the paper-scale planned "
+                             "runs (0 skips them)")
     parser.add_argument("--paper-hours", type=float, default=48.0)
     parser.add_argument("--out", default="BENCH_perf.json")
     args = parser.parse_args()
 
-    backends = BACKENDS if args.backend == "both" else (args.backend,)
     print(f"tick rate: {args.servers} servers, {args.hours:g} h trace, "
-          f"backends {'/'.join(backends)}, best of {args.repeats} ...")
+          f"drivers {'/'.join(DRIVERS)}, best of {args.repeats} ...")
     tick = measure_tick_rate(args.servers, args.hours, args.seed,
-                             backends, args.repeats)
-    for backend in backends:
-        run = tick["backends"][backend]
-        print(f"  {backend:>9}: {run['ticks']} ticks in "
+                             args.repeats)
+    for driver in DRIVERS:
+        run = tick["drivers"][driver]
+        print(f"  {driver:>9}: {run['ticks']} ticks in "
               f"{run['wall_s']:.3f} s = {run['ticks_per_sec']:,.0f} "
               f"ticks/sec (path: {run['kernel_path']})")
-    # The tick-rate run is a clean VMT-TA run: fast must plan it.
-    ok = ("fast" not in backends
-          or tick["backends"]["fast"]["kernel_path"] == "planned")
-    if len(backends) == 2:
-        print(f"  speedup {tick['speedup']:.2f}x, bit-identical: "
-              f"{tick['bit_identical']}")
-        ok = (ok and tick["bit_identical"]
-              and tick["speedup"] >= args.min_speedup)
+    print(f"  speedup {tick['speedup']:.2f}x, bit-identical: "
+          f"{tick['bit_identical']}")
+    # The tick-rate run is a clean VMT-TA run: each driver must take it.
+    ok = (all(tick["drivers"][driver]["kernel_path"] == driver
+              for driver in DRIVERS)
+          and tick["bit_identical"]
+          and tick["speedup"] >= args.min_speedup)
 
     paper = None
     if args.paper_servers > 0:
         print(f"paper scale: {args.paper_servers} servers, "
-              f"{args.paper_hours:g} h, fast backend, GV "
+              f"{args.paper_hours:g} h, GV "
               f"{'/'.join(f'{gv:g}' for gv in PAPER_GVS)} ...")
         paper = measure_paper_scale(args.paper_servers, args.paper_hours,
                                     args.seed, args.repeats)
@@ -288,7 +293,7 @@ def main() -> int:
               f"{paper['under_target']}")
 
     print(f"sweep points: {args.points} GVs + round-robin, "
-          f"{args.servers} servers, fast backend, each run alone ...")
+          f"{args.servers} servers, each run alone ...")
     points = measure_sweep_points(args.servers, args.points, args.seed,
                                   args.repeats)
     for name, row in points["points"].items():
@@ -303,11 +308,10 @@ def main() -> int:
               "planned kernel")
     ok = ok and points["all_planned"]
 
-    sweep_backend = "fast" if args.backend == "both" else args.backend
-    print(f"sweep: {args.points} GV points, {sweep_backend} backend, "
+    print(f"sweep: {args.points} GV points, "
           f"serial vs {args.workers} process/thread workers ...")
     sweep = measure_sweep(args.servers, args.points, args.workers,
-                          args.seed, sweep_backend, args.repeats)
+                          args.seed, args.repeats)
     for mode, timing in sweep["modes"].items():
         print(f"  {mode:>8}: {timing['wall_s']:.2f} s "
               f"({timing['speedup_vs_serial']:.2f}x vs serial)")

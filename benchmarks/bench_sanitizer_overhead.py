@@ -15,6 +15,10 @@ Two numbers per level:
 * ``checks_share`` -- the profiler's ``checks`` section as a fraction
   of the level's own tick-loop time.
 
+Every level runs on the per-tick driver (a no-op observer keeps an
+open-loop ``--policy`` off the planned kernel, which refuses the
+sanitizer), so the levels time the same loop.
+
 Results merge into ``BENCH_perf.json`` under ``sanitizer_overhead``,
 alongside the scaling numbers from ``bench_perf_scaling.py``.  All
 three runs assert bit-identical fingerprints -- the sanitizer reads,
@@ -42,6 +46,10 @@ from repro.perf.timing import interleaved_best
 LEVELS = ("off", "cheap", "full")
 
 
+def _noop_observer(time_s, demand, placement, cluster):
+    """Attached only to force the per-tick driver."""
+
+
 def profile_level(num_servers: int, hours: float, seed: int, policy: str,
                   checks: str) -> dict:
     """One profiled run; returns section totals and the fingerprint."""
@@ -51,6 +59,7 @@ def profile_level(num_servers: int, hours: float, seed: int, policy: str,
     sim = ClusterSimulation(config, make_scheduler(policy, config),
                             record_heatmaps=False, profiler=profiler,
                             checks=checks)
+    sim.add_observer(_noop_observer)
     result = sim.run()
     timings = profiler.timings()
     loop_s = sum(t.total_s for t in timings.values())

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..cluster.metrics import SimulationResult
 from ..config import paper_cluster_config
+from ..kernel import check_backend
 from ..obs.telemetry import TelemetryLike, telemetry_directory
 from ..perf.runner import ExperimentRunner, RunSpec
 
@@ -80,15 +81,13 @@ def _gv_sweep_specs(grouping_values: Sequence[float],
                     policies: Sequence[str], *, num_servers: int,
                     seed: int, inlet_stdev_c: float,
                     wax_threshold: float,
-                    checks: Optional[str] = None,
-                    backend: Optional[str] = None) -> List[RunSpec]:
+                    checks: Optional[str] = None) -> List[RunSpec]:
     """Baseline spec followed by one spec per (gv, policy), in order."""
     base = paper_cluster_config(num_servers=num_servers, seed=seed,
                                 inlet_stdev_c=inlet_stdev_c,
                                 wax_threshold=wax_threshold)
     specs = [RunSpec(base, "round-robin",
-                     label=f"baseline[seed={seed}]", checks=checks,
-                     backend=backend)]
+                     label=f"baseline[seed={seed}]", checks=checks)]
     for gv in grouping_values:
         config = paper_cluster_config(num_servers=num_servers,
                                       grouping_value=gv, seed=seed,
@@ -97,7 +96,7 @@ def _gv_sweep_specs(grouping_values: Sequence[float],
         for policy in policies:
             specs.append(RunSpec(config, policy,
                                  label=f"{policy}[gv={gv:g},seed={seed}]",
-                                 checks=checks, backend=backend))
+                                 checks=checks))
     return specs
 
 
@@ -132,17 +131,17 @@ def gv_sweep(grouping_values: Sequence[float], *,
     GV, which the trace does not depend on), and ``max_workers`` > 1
     runs the points in parallel without changing a single output bit.
     ``workers_mode="thread"`` swaps the process pool for threads that
-    share the parent's read-only trace arrays (pairs well with
-    ``backend="fast"``); ``backend`` selects the tick engine per point
-    ("reference" | "fast", ``None`` = the ``REPRO_BACKEND`` variable).
+    share the parent's read-only trace arrays (pairs well with the
+    planned kernel's whole-run numpy work); ``backend`` is retired:
+    validated, and it selects nothing.
     With ``telemetry`` (a directory), every sweep point writes its own
     trace/metrics/manifest bundle there, labeled by policy and GV.
     """
+    check_backend(backend)
     specs = _gv_sweep_specs(grouping_values, policies,
                             num_servers=num_servers, seed=seed,
                             inlet_stdev_c=inlet_stdev_c,
-                            wax_threshold=wax_threshold, checks=checks,
-                            backend=backend)
+                            wax_threshold=wax_threshold, checks=checks)
     telemetry_dir = telemetry_directory(telemetry)
     if telemetry_dir is not None:
         specs = [replace(spec, telemetry_dir=telemetry_dir)

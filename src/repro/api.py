@@ -45,6 +45,7 @@ from .cluster.simulation import run_simulation
 from .config import SimulationConfig, paper_cluster_config
 from .core.policies import SCHEDULER_NAMES, make_scheduler
 from .errors import ConfigurationError
+from .kernel import check_backend
 from .obs.telemetry import TelemetryLike, telemetry_directory
 from .perf.runner import ExperimentRunner, RunSpec
 from .workloads.trace import TraceMatrix
@@ -111,9 +112,9 @@ def run(*, policy: Optional[str] = None,
     ``checks`` attaches the invariant sanitizer ("off" | "cheap" |
     "full"); ``None`` defers to the ``REPRO_CHECKS`` environment
     variable.  The sanitizer only reads state, so results are
-    bit-identical at every level.  ``backend`` selects the tick engine
-    ("reference" | "fast"; ``None`` defers to ``REPRO_BACKEND``) --
-    the fast engine returns bit-identical results.
+    bit-identical at every level.  ``backend`` is retired: validated
+    ("reference" | "fast"), and it selects nothing -- a clean open-loop
+    run is planned and every other run takes the per-tick driver.
 
     ``checkpoint_every=N`` with ``checkpoint_dir=`` writes a snapshot
     every N completed ticks; ``resume_from=`` continues a run from such
@@ -122,6 +123,7 @@ def run(*, policy: Optional[str] = None,
     given, must match the snapshot's).  A resumed run is bit-identical
     to the straight-through run: same ``fingerprint()``.
     """
+    check_backend(backend)
     if resume_from is not None:
         if config is not None or trace is not None:
             raise ConfigurationError(
@@ -142,7 +144,7 @@ def run(*, policy: Optional[str] = None,
                 f"snapshot {resume_from} was taken under policy "
                 f"{snapshot.policy!r}, not {policy!r}")
         sim = restore_simulation(snapshot, telemetry=telemetry,
-                                 checks=checks, backend=backend,
+                                 checks=checks,
                                  checkpoint_every=checkpoint_every,
                                  checkpoint_dir=checkpoint_dir)
         return sim.run()
@@ -156,7 +158,6 @@ def run(*, policy: Optional[str] = None,
     return run_simulation(resolved, make_scheduler(policy, resolved),
                           trace=trace, record_heatmaps=record_heatmaps,
                           telemetry=telemetry, checks=checks,
-                          backend=backend,
                           checkpoint_every=checkpoint_every,
                           checkpoint_dir=checkpoint_dir)
 
@@ -233,10 +234,11 @@ def compare(*, policies: Sequence[str] = ("vmt-ta", "round-robin"),
 
     Every policy sees the same config and the same generated trace, so
     :meth:`Comparison.peak_reduction` is an apples-to-apples number.
-    ``backend``/``workers_mode`` mirror :func:`sweep`: the tick engine
-    per run and the pool flavor ("process" | "thread") -- every
-    combination is bit-identical.
+    ``workers_mode`` mirrors :func:`sweep`: the pool flavor
+    ("process" | "thread") -- both are bit-identical.  ``backend`` is
+    retired: validated, and it selects nothing.
     """
+    check_backend(backend)
     policies = tuple(dict.fromkeys(policies))  # dedupe, keep order
     if not policies:
         raise ConfigurationError("compare needs at least one policy")
@@ -247,8 +249,7 @@ def compare(*, policies: Sequence[str] = ("vmt-ta", "round-robin"),
                              wax_threshold=wax_threshold)
     telemetry_dir = telemetry_directory(telemetry)
     specs = [RunSpec(resolved, policy, record_heatmaps=record_heatmaps,
-                     telemetry_dir=telemetry_dir, checks=checks,
-                     backend=backend)
+                     telemetry_dir=telemetry_dir, checks=checks)
              for policy in policies]
     results = ExperimentRunner(max_workers, workers_mode).run(specs)
     return Comparison(config=resolved,
@@ -264,7 +265,11 @@ def sweep(*, grouping_values: Sequence[float],
           telemetry: TelemetryLike = None,
           checks: Optional[str] = None,
           backend: Optional[str] = None) -> SweepResult:
-    """Sweep the grouping value against a round-robin baseline."""
+    """Sweep the grouping value against a round-robin baseline.
+
+    ``backend`` is retired: validated, and it selects nothing.
+    """
+    check_backend(backend)
     for policy in policies:
         _check_policy(policy)
     return gv_sweep(grouping_values, policies=tuple(policies),
@@ -272,7 +277,7 @@ def sweep(*, grouping_values: Sequence[float],
                     inlet_stdev_c=inlet_stdev_c,
                     wax_threshold=wax_threshold, max_workers=max_workers,
                     workers_mode=workers_mode,
-                    telemetry=telemetry, checks=checks, backend=backend)
+                    telemetry=telemetry, checks=checks)
 
 
 def stress(*, scenarios: Optional[Sequence] = None,
@@ -333,7 +338,7 @@ def live_run(*, policy: Optional[str] = None,
     ``forecaster`` supplies the grouping-value estimate the scheduler is
     retargeted with at each decision boundary (``"oracle"`` |
     ``"last-value"``); ``mpc=True`` instead races candidate GVs through
-    fast-backend shadow simulations forked from the live snapshot.
+    planned shadow simulations forked from the live snapshot.
     ``mpc_workers`` is accepted and validated (``>= 1``) and does
     nothing: the shadows race one after another.
     ``speedup`` paces ingestion against the wall clock (e.g. ``60.0``

@@ -50,7 +50,12 @@ from .config import paper_cluster_config
 from .core.policies import SCHEDULER_NAMES, make_scheduler
 from .errors import ReproError
 from .io import save_result
+from .kernel import BACKENDS
 from .workloads.workload import WORKLOAD_LIST
+
+#: ``--backend`` is retired: still accepted (and validated), it selects
+#: nothing -- a clean open-loop run is planned, every other run steps.
+_BACKEND_HELP = "accepted and ignored (retired)"
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
@@ -153,7 +158,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume:
         from .state import resume_run
         result = resume_run(args.resume, telemetry=telemetry,
-                            checks=args.checks, backend=args.backend,
+                            checks=args.checks,
                             checkpoint_every=args.checkpoint_every,
                             checkpoint_dir=args.checkpoint_dir)
     elif args.registry:
@@ -161,7 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .serve.registry import RunRegistry, registry_key
         config = _with_faults(_config_from(args), args)
         registry = RunRegistry(args.registry)
-        key = registry_key(config, args.policy, args.backend)
+        key = registry_key(config, args.policy)
         entry = registry.lookup(key)
         if entry is not None:
             result = registry.load(entry)
@@ -176,7 +181,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                     record_heatmaps=True,
                                     telemetry=telemetry,
                                     checks=args.checks,
-                                    backend=args.backend,
                                     checkpoint_every=args.checkpoint_every,
                                     checkpoint_dir=args.checkpoint_dir)
             entry = registry.store(key, result,
@@ -190,7 +194,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = run_simulation(config, scheduler,
                                 record_heatmaps=bool(args.save),
                                 telemetry=telemetry, checks=args.checks,
-                                backend=args.backend,
                                 checkpoint_every=args.checkpoint_every,
                                 checkpoint_dir=args.checkpoint_dir)
     summary = result.summary()
@@ -302,8 +305,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                      inlet_stdev_c=args.inlet_stdev,
                      max_workers=args.workers or None,
                      workers_mode=args.workers_mode,
-                     telemetry=args.telemetry, checks=args.checks,
-                     backend=args.backend)
+                     telemetry=args.telemetry, checks=args.checks)
     headers = ["GV"] + list(args.policies)
     rows = []
     for i, gv in enumerate(sweep.values):
@@ -323,11 +325,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     config = _config_from(args)
     profiler = TickProfiler()
     sim = ClusterSimulation(config, make_scheduler(args.policy, config),
-                            record_heatmaps=False, profiler=profiler,
-                            backend=args.backend)
+                            record_heatmaps=False, profiler=profiler)
     result = sim.run()
-    if sim.backend == "fast":
-        print(f"backend: fast (kernel path: {sim.kernel_path})\n")
+    print(f"kernel path: {sim.kernel_path}\n")
     timings = profiler.timings().values()
     total_s = sum(t.total_s for t in timings)
     rows = [(t.name, f"{t.calls}", f"{t.total_s * 1e3:.1f}",
@@ -662,11 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="invariant sanitizer level (default: the "
                           "REPRO_CHECKS environment variable, else off)")
-    run.add_argument("--backend", choices=("reference", "fast"),
-                     default=None,
-                     help="tick engine (default: the REPRO_BACKEND "
-                          "environment variable, else reference); "
-                          "fast is bit-identical")
+    run.add_argument("--backend", choices=BACKENDS, default=None,
+                     help=_BACKEND_HELP)
     run.add_argument("--checkpoint-every", type=int, metavar="N",
                      help="write a resumable snapshot every N ticks "
                           "(requires --checkpoint-dir)")
@@ -864,12 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers-mode", choices=("process", "thread"),
                        default="process",
                        help="pool flavor for parallel sweeps: thread "
-                            "workers share the read-only trace arrays "
-                            "(pairs well with --backend fast)")
-    sweep.add_argument("--backend", choices=("reference", "fast"),
-                       default=None,
-                       help="tick engine for every sweep point "
-                            "(default: REPRO_BACKEND, else reference)")
+                            "workers share the read-only trace arrays")
+    sweep.add_argument("--backend", choices=BACKENDS, default=None,
+                       help=_BACKEND_HELP)
     sweep.add_argument("--telemetry", metavar="DIR",
                        help="write one telemetry bundle per sweep point "
                             "into this directory")
@@ -884,11 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cluster_args(profile)
     profile.add_argument("--policy", choices=SCHEDULER_NAMES,
                          default="vmt-ta")
-    profile.add_argument("--backend", choices=("reference", "fast"),
-                         default=None,
-                         help="tick engine to profile (fast reports "
-                              "kernel-stage sections instead of "
-                              "per-tick ones)")
+    profile.add_argument("--backend", choices=BACKENDS, default=None,
+                         help=_BACKEND_HELP)
     profile.set_defaults(func=_cmd_profile)
 
     trace = sub.add_parser("trace", help="show the two-day trace")

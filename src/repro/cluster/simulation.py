@@ -1,17 +1,20 @@
-"""Wiring: trace + scheduler + cluster on the event engine.
+"""Wiring: trace + scheduler + cluster, driven one tick per trace step.
 
 One :class:`ClusterSimulation` reproduces the paper's experimental loop:
 every minute (the wax model's update period) the scheduler observes the
 sensed cluster state, places the current demand, and the physical models
 advance one tick; a metrics collector records the series the figures
-need.
+need.  :meth:`ClusterSimulation.run` hands the ticks to the planned
+kernel when the run is open-loop and clean, and to the per-tick driver
+otherwise (:mod:`repro.kernel`).
 
 When the configuration carries an enabled
 :class:`~repro.config.FaultConfig` (or a
 :class:`~repro.faults.injector.FaultInjector` is passed explicitly), the
-injector's events run on the same engine: servers fail and recover,
-sensors corrupt, cooling derates -- and the per-tick loop additionally
-tracks availability, displaced jobs, and failure-to-replacement times.
+injector's events run on the discrete-event engine, drained at tick
+boundaries: servers fail and recover, sensors corrupt, cooling derates
+-- and the per-tick loop additionally tracks availability, displaced
+jobs, and failure-to-replacement times.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ import numpy as np
 from ..config import SimulationConfig
 from ..core.scheduler import Placement, Scheduler
 from ..errors import SimulationError
-from ..kernel import resolve_backend
+from ..kernel import check_backend
 from ..obs.telemetry import Telemetry, TelemetryLike
 from ..sim.engine import Engine
-from ..sim.process import PeriodicProcess
 from ..sim.rng import RngStreams
 from ..workloads.trace import TraceMatrix, TwoDayTrace
 from .cluster import Cluster
@@ -63,9 +65,9 @@ class ClusterSimulation:
                  checkpoint_dir: Optional[str] = None,
                  deadline: Optional["Deadline"] = None) -> None:
         config.validate()
+        check_backend(backend)  # retired: validated, selects nothing
         self._deadline = deadline
-        self._backend = resolve_backend(backend)
-        self._kernel_path = "reference"
+        self._kernel_path = "stepped"
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise SimulationError("checkpoint_every must be positive")
         if checkpoint_every is not None and checkpoint_dir is None:
@@ -116,7 +118,9 @@ class ClusterSimulation:
                                          capacity=trace.num_steps)
         self._engine = Engine()
         self._step_index = 0
-        self._stream_process: Optional[PeriodicProcess] = None
+        # When the per-tick driver fires the next tick (kernel.stepped).
+        self._next_tick_s = 0.0
+        self._streaming = False
         self._stream_wall_start = 0.0
         self._observers: List[Observer] = []
         self._last_allocation: Optional[np.ndarray] = None
@@ -158,16 +162,11 @@ class ClusterSimulation:
         return self._sanitizer
 
     @property
-    def backend(self) -> str:
-        """The resolved execution backend (``reference`` or ``fast``)."""
-        return self._backend
-
-    @property
     def kernel_path(self) -> str:
-        """Which kernel the last :meth:`run` or live stream used.
+        """Which driver the last :meth:`run` or live stream segment used.
 
-        ``planned`` or ``stepped`` when a fast-path kernel ran,
-        ``reference`` otherwise (including before any run).
+        ``planned`` when the planned kernel ran it, ``stepped`` otherwise
+        (including before any run).
         """
         return self._kernel_path
 
@@ -221,7 +220,7 @@ class ClusterSimulation:
         """Dispatch observers; a raising observer aborts the run loudly.
 
         Without the wrapper an exception from one observer would unwind
-        through the event engine mid-tick and leave the run silently
+        through the tick driver mid-tick and leave the run silently
         truncated; instead it surfaces as a :class:`SimulationError`
         naming the culprit.
         """
@@ -276,7 +275,7 @@ class ClusterSimulation:
             return
         if self._deadline is not None:
             # Cooperative wall-clock budget: raises RunTimeout from inside
-            # the tick, unwinding through the engine -- works on any
+            # the tick, unwinding through the driver -- works on any
             # thread, unlike the SIGALRM scheme this replaced.
             self._deadline.check()
         prof = self._profiler
@@ -472,6 +471,7 @@ class ClusterSimulation:
             sim_state["prev_above_threshold"])
         self._prev_degraded = bool(sim_state["prev_degraded"])
         self._step_index = int(snapshot.tick)
+        self._next_tick_s = self._step_index * self._trace.step_seconds
         self._restored = True
 
     def _write_checkpoint(self) -> None:
@@ -494,60 +494,61 @@ class ClusterSimulation:
     def run(self) -> SimulationResult:
         """Run the full trace and return the collected result.
 
+        A clean open-loop run is planned (:mod:`repro.kernel.planned`);
+        every other run takes the per-tick driver
+        (:mod:`repro.kernel.stepped`), which drains the fault injector's
+        events at tick boundaries.
+
         With telemetry attached, the bundle is finished on the way out:
         the trace is flushed, metric columns saved, and the run manifest
         written -- none of which touches the returned result, so the
         fingerprint is bit-identical with telemetry on or off.
 
         On a restored simulation the scheduler is *not* reset (its
-        mid-run state came from the snapshot) and the tick process and
-        fault events re-align to the next unfinished tick.
+        mid-run state came from the snapshot) and the ticks and fault
+        events re-align to the next unfinished tick.
         """
-        if self._backend == "fast":
-            from ..kernel import run_fast
-            result = run_fast(self)
-            if result is not None:
-                return result
-            # No kernel applies (fault injection or telemetry attached):
-            # fall through to the reference engine loop.
+        from ..kernel import planned, stepped
+        result = planned.try_run(self)
+        if result is not None:
+            self._kernel_path = "planned"
+            return result
+        self._kernel_path = "stepped"
         wall_start = time.perf_counter()
-        step_s = self._trace.step_seconds
-        if self._restored:
-            if self._injector is not None:
-                self._injector.reattach(
-                    self._engine, self._cluster,
-                    next_tick_s=self._step_index * step_s)
-        else:
-            self._scheduler.reset()
-            if self._injector is not None:
+        self._start()
+        if self._injector is not None:
+            if self._restored:
+                self._injector.reattach(self._engine, self._cluster,
+                                        next_tick_s=self._next_tick_s)
+            else:
                 self._injector.attach(self._engine, self._cluster)
+        stepped.advance(self, self._trace.num_steps)
+        stepped.drain(self)
+        if self._injector is not None:
+            self._injector.detach()
+        return self._finish(wall_start)
+
+    def _start(self, **attrs) -> None:
+        """The prologue a run and a stream share."""
+        if not self._restored:
+            self._scheduler.reset()
         if self._obs_tracer is not None and self._obs_tracer.enabled:
             self._obs_tracer.event(
                 "run-start", self._engine.now,
                 run_id=self._telemetry.run_id,
                 scheduler=self._scheduler.name,
                 servers=self._config.num_servers,
-                ticks=self._trace.num_steps)
-        process = PeriodicProcess(
-            self._engine, step_s, self._tick,
-            start_at=(self._step_index * step_s if self._restored
-                      else None),
-            name="scheduler-tick")
-        duration = self._trace.num_steps * self._trace.step_seconds
-        self._engine.run_until(duration - 1e-9)
-        process.stop()
+                ticks=self._trace.num_steps, **attrs)
+
+    def _finish(self, wall_start: float) -> SimulationResult:
+        """The epilogue a run and a stream share: result, then telemetry."""
         profile = (self._profiler.snapshot()
                    if self._profiler is not None else None)
-        if self._injector is not None:
-            self._injector.detach()
-            result = self._metrics.finish(
-                self._config, self._scheduler.name,
-                recovery_times_s=self._fault_state.recovery_times_s,
-                profile=profile)
-        else:
-            result = self._metrics.finish(self._config,
-                                          self._scheduler.name,
-                                          profile=profile)
+        result = self._metrics.finish(
+            self._config, self._scheduler.name,
+            recovery_times_s=(self._fault_state.recovery_times_s
+                              if self._injector is not None else None),
+            profile=profile)
         if self._telemetry is not None:
             if self._obs_tracer.enabled:
                 self._obs_tracer.event("run-end", self._cluster.time_s,
@@ -564,7 +565,7 @@ class ClusterSimulation:
     # -- streaming (live) mode ---------------------------------------------
 
     def begin_streaming(self) -> None:
-        """Arm the tick process for incremental, no-lookahead driving.
+        """Start a run for incremental, no-lookahead driving.
 
         The streaming spelling of :meth:`run`'s prologue: the caller (a
         :class:`~repro.live.LiveRunner`) feeds demand rows into the live
@@ -573,9 +574,8 @@ class ClusterSimulation:
         when :attr:`plans_stream` holds, once per decision interval -- so
         the simulation only ever advances over demand that has actually
         been observed.  Ticks run at exactly the same simulation times
-        as a batch run -- ``k * step_seconds`` -- which is what keeps a
-        live run with a perfect forecaster bit-identical to the offline
-        batch fingerprint.
+        as a batch run, which is what keeps a live run with a perfect
+        forecaster bit-identical to the offline batch fingerprint.
 
         Fault injection is not supported live yet: scripted fault events
         are scheduled against the full run span up front, which would be
@@ -584,80 +584,46 @@ class ClusterSimulation:
         if self._injector is not None:
             raise SimulationError(
                 "live streaming does not support fault injection")
-        if getattr(self, "_stream_process", None) is not None:
+        if self._streaming:
             raise SimulationError("begin_streaming called twice")
+        self._streaming = True
         self._stream_wall_start = time.perf_counter()
-        step_s = self._trace.step_seconds
-        if not self._restored:
-            self._scheduler.reset()
-        if self._obs_tracer is not None and self._obs_tracer.enabled:
-            self._obs_tracer.event(
-                "run-start", self._engine.now,
-                run_id=self._telemetry.run_id,
-                scheduler=self._scheduler.name,
-                servers=self._config.num_servers,
-                ticks=self._trace.num_steps,
-                live=True)
-        self._stream_process = PeriodicProcess(
-            self._engine, step_s, self._tick,
-            start_at=(self._step_index * step_s if self._restored
-                      else None),
-            name="scheduler-tick")
+        self._start(live=True)
 
     def advance_stream(self, step_index: int) -> None:
         """Run every tick up to ``step_index`` (their rows must be fed).
 
         When :attr:`plans_stream` holds, the planned kernel plans the
-        ticks not yet run, leaving the state the engine would, and the
-        tick process is re-armed at ``(step_index + 1) * step_seconds``.
-        Otherwise this delegates to :meth:`Engine.advance_to` at
-        ``step_index * step_seconds`` -- the exact time the batch tick
-        process would have fired this tick.
+        ticks not yet run, leaving the state the per-tick driver would;
+        otherwise the per-tick driver fires them, at the times the batch
+        run fires them.
         """
-        if getattr(self, "_stream_process", None) is None:
+        if not self._streaming:
             raise SimulationError(
                 "advance_stream requires begin_streaming first")
-        step_s = self._trace.step_seconds
-        if self.plans_stream:
-            stop = step_index + 1
-            if stop > self._step_index:
-                from ..kernel import planned
-                planned.advance(self, stop)
-                self._stream_process.rearm(stop * step_s)
-                self._kernel_path = "planned"
+        stop = step_index + 1
+        if stop <= self._step_index:
             return
-        self._engine.advance_to(step_index * step_s)
+        from ..kernel import planned, stepped
+        if self.plans_stream:
+            planned.advance(self, stop)
+            self._kernel_path = "planned"
+        else:
+            stepped.advance(self, stop)
+            self._kernel_path = "stepped"
 
     def finish_streaming(self) -> SimulationResult:
-        """Tear down the stream and return the collected result.
+        """End the stream and return the collected result.
 
         The streaming spelling of :meth:`run`'s epilogue; safe to call
         after any number of ticks (an early-closed feed simply yields a
         shorter result).
         """
-        if getattr(self, "_stream_process", None) is None:
+        if not self._streaming:
             raise SimulationError(
                 "finish_streaming requires begin_streaming first")
-        self._stream_process.stop()
-        self._stream_process = None
-        profile = (self._profiler.snapshot()
-                   if self._profiler is not None else None)
-        result = self._metrics.finish(self._config,
-                                      self._scheduler.name,
-                                      profile=profile)
-        if self._telemetry is not None:
-            if self._obs_tracer.enabled:
-                self._obs_tracer.event("run-end", self._cluster.time_s,
-                                       fingerprint=result.fingerprint())
-            self._telemetry.finish(
-                config=self._config,
-                scheduler_name=self._scheduler.name,
-                result=result,
-                trace_sha256=self._trace.fingerprint(),
-                wall_clock_s=(time.perf_counter()
-                              - self._stream_wall_start),
-                checkpoints=(self._checkpoint_records or None))
-        return result
+        self._streaming = False
+        return self._finish(self._stream_wall_start)
 
 
 def run_simulation(config: SimulationConfig, scheduler: Scheduler, *,
@@ -671,14 +637,17 @@ def run_simulation(config: SimulationConfig, scheduler: Scheduler, *,
                    checkpoint_every: Optional[int] = None,
                    checkpoint_dir: Optional[str] = None,
                    deadline: Optional["Deadline"] = None) -> SimulationResult:
-    """Convenience one-call experiment runner."""
+    """Convenience one-call experiment runner.
+
+    ``backend`` is retired: validated, and it selects nothing.
+    """
+    check_backend(backend)
     return ClusterSimulation(config, scheduler, trace=trace,
                              record_heatmaps=record_heatmaps,
                              fault_injector=fault_injector,
                              profiler=profiler,
                              telemetry=telemetry,
                              checks=checks,
-                             backend=backend,
                              checkpoint_every=checkpoint_every,
                              checkpoint_dir=checkpoint_dir,
                              deadline=deadline).run()

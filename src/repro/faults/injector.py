@@ -9,9 +9,11 @@ engine events that mutate a shared :class:`~repro.faults.state.FaultState`:
   so hot-group servers really do fail more often -- the closed loop the
   paper only estimates analytically.
 
-Fault events use a negative priority so that at a shared timestamp they
-fire before the scheduler tick: a scheduler never places work on a
-server that died "this minute".
+Fault events are the only events on the engine.  The per-tick driver
+(:mod:`repro.kernel.stepped`) runs the engine up to each scheduler
+tick's time before firing the tick, so at a shared timestamp they fire
+first: a scheduler never places work on a server that died "this
+minute".
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from ..sim.engine import Engine
 from ..sim.process import PeriodicProcess
 from ..sim.rng import RngStreams
 
-#: Priority of fault events; ticks run at 0, so faults at the same
-#: timestamp land first.
+#: Priority of fault events on the engine (ahead of priority-0 events
+#: at the same timestamp).
 FAULT_EVENT_PRIORITY = -10
 
 #: Seconds per hour (hazard rates are per hour).

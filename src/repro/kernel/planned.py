@@ -8,8 +8,8 @@ never on temperatures, wax state, or faults.  That makes the entire run
 remaining physics chain is either elementwise (batchable across all
 ticks at once) or a cheap recurrence.
 
-The kernel preserves bit-identity with the reference path by
-construction:
+The kernel preserves bit-identity with the per-tick chain
+(:mod:`.stepped`) by construction:
 
 * **RNG**: each consumer draws from its own named stream, so streams can
   be consumed in any relative order.  Batched ``normal(0, s, (T, n))``
@@ -44,7 +44,7 @@ construction:
   ``record`` would have filled, NaN where a group is empty.
 
 The kernel plans any span of ticks ``[t0, t1)`` (:func:`advance`) and
-leaves exactly the state the reference loop leaves after firing tick
+leaves exactly the state the per-tick driver leaves after firing tick
 ``t1 - 1``: the scheduler keeps its state (tick, RNG, round-robin's job
 map, a retargeted grouping value), the physics recurrences start from
 the current air, wax and estimator state, the metrics clock continues
@@ -140,7 +140,7 @@ def try_run(sim) -> Optional["SimulationResult"]:
     if (counts.shape[0] == 0
             or int(counts.sum(axis=1).max()) > sim._config.total_cores):
         return None
-    # A fresh reference run resets the scheduler before the first tick;
+    # A fresh per-tick run resets the scheduler before the first tick;
     # a restored one continues from the snapshot's scheduler state.
     if not sim._restored:
         sim._scheduler.reset()
@@ -154,8 +154,8 @@ def try_run(sim) -> Optional["SimulationResult"]:
             stop = min(total, (sim._step_index // every + 1) * every)
             advance(sim, stop)
             if stop % every == 0:
-                # The reference loop writes from inside the tick, before
-                # the engine counts that tick's dispatch.
+                # The per-tick driver writes from inside the tick, before
+                # it counts that tick's dispatch.
                 engine._dispatched -= 1
                 sim._write_checkpoint()
                 engine._dispatched += 1
@@ -364,10 +364,11 @@ def advance(sim, t1: int) -> None:
     Reads only rows ``[t0, t1)`` of the trace: on a live buffer a row
     that has not arrived raises :class:`~repro.errors.TraceError`, as
     ``demand_at`` does, before any state changes.  Afterwards ``sim``
-    holds exactly the state the reference loop leaves after firing tick
+    holds exactly the state the per-tick driver leaves after firing tick
     ``t1 - 1``: the metrics rows; the scheduler's tick, RNG and job map;
     the cluster arrays and clock; ``_last_allocation``; the engine clock
     at ``(t1 - 1) * dt``; and the dispatch counter, up by ``t1 - t0``.
+    The per-tick driver would fire the next tick at ``t1 * dt``.
     It never resets the scheduler, so a retargeted grouping value
     stays.  The caller checks :func:`eligible`, ``t0 < t1``, and that
     every row fits the cluster.
@@ -547,6 +548,7 @@ def advance(sim, t1: int) -> None:
                             .reshape(n, _K).astype(np.int64))
     engine._now = (t1 - 1) * dt
     engine._dispatched += T
+    sim._next_tick_s = t1 * dt
 
     if prof is not None:
         prof.add("kernel_plan", plan_elapsed)

@@ -1,79 +1,74 @@
-"""Engine-bypass stepped driver: the reference tick loop, hoisted.
+"""The per-tick driver: every run the planned kernel does not take.
 
-The event engine earns its keep when events arrive at arbitrary times --
-fault injection, telemetry flushes.  A plain simulation run is just one
-periodic process, so the heap push/pop, ``Event`` construction, and
-dispatch accounting per tick are pure overhead.  This driver calls
-``ClusterSimulation._tick`` directly at the same simulated times the
-:class:`~repro.sim.process.PeriodicProcess` would have fired it,
-maintaining the engine's clock and dispatch counter by hand so
-checkpoints, snapshots, and post-run state are indistinguishable from a
-reference run.
+One scheduler tick per trace step, each a direct call of
+``ClusterSimulation._tick`` -- the per-tick chain ``Scheduler.place`` ->
+``Cluster.step`` -> ``MetricsCollector.record`` -- at the simulated time
+a periodic process would fire it: ``now += step_seconds`` accumulated
+in float from the run's start (``k * step_seconds`` on a run restored at
+tick ``k``, or after a planned segment that ended there).  The driver
+keeps the engine's clock and dispatch counter by hand, one dispatch per
+tick, so checkpoints, snapshots, and post-run state read the same on
+every path.
 
-Per-tick python hoisted here (beyond the heap): the scheduler's
-allocation is validated once by ``Scheduler.place`` and then trusted --
-``Cluster.step``'s re-validation of the same array is skipped when no
-sanitizer is attached (``Cluster._validate``).  Error paths aside, the
-arithmetic is the reference path itself, so bit-identity is by
-construction for *every* policy, with checkpoints, sanitizer levels,
-observers, and restored runs all supported.
+Fault events are the only events on the engine.  When a fault injector
+is attached, the driver runs the engine up to each tick's time before
+firing the tick, so every scripted fault, repair, and hazard draw at or
+before it lands first (fault events outrank ticks at a shared
+timestamp), and :func:`drain` runs it up to the end of the run once the
+last tick has fired.
+
+The scheduler's allocation is validated once by ``Scheduler.place`` and
+then trusted -- ``Cluster.step``'s re-validation of the same array is
+skipped when no sanitizer is attached (``Cluster._validate``).  Error
+paths aside, the arithmetic is the per-tick chain itself, so
+bit-identity is by construction for every policy, with faults,
+telemetry, checkpoints, sanitizer levels, observers, live rows, and
+restored runs all supported.
 """
 
 from __future__ import annotations
 
-import time
 
+def advance(sim, t1: int) -> None:
+    """Fire ticks ``[t0, t1)`` of ``sim``, where ``t0`` is its next tick.
 
-def eligible(sim) -> bool:
-    """Whether the run can bypass the event heap.
-
-    Fault injectors and telemetry bundles schedule their own engine
-    events, so those runs keep the reference engine loop.
+    A tick whose row has not arrived in a live buffer raises
+    :class:`~repro.errors.TraceError` from ``demand_at``, leaving the
+    ticks before it run.
     """
-    return sim._injector is None and sim._telemetry is None
-
-
-def run(sim):
-    """Drive the simulation to completion without the event heap."""
     engine = sim._engine
-    trace = sim._trace
     cluster = sim._cluster
-    step_s = trace.step_seconds
-    total = trace.num_steps
-    if not sim._restored:
-        sim._scheduler.reset()
-    # The reference periodic process fires at start_at + k * step_s,
-    # accumulating in float; reproduce the identical event times.
-    now = (sim._step_index * step_s if sim._restored
-           else engine.now)
-    prof = sim._profiler
+    step_s = sim._trace.step_seconds
     tick = sim._tick
+    faults = sim._injector is not None
     skip_validation = sim._sanitizer is None
     if skip_validation:
         cluster._validate = False
+    now = sim._next_tick_s
     try:
-        if prof is None:
-            for _ in range(sim._step_index, total):
+        for _ in range(sim._step_index, t1):
+            if faults:
+                engine.run_until(now)
+            else:
                 engine._now = now
-                tick(now)
-                engine._dispatched += 1
-                now += step_s
-        else:
-            clock = time.perf_counter
-            loop_start = clock()
-            in_tick = 0.0
-            for _ in range(sim._step_index, total):
-                engine._now = now
-                mark = clock()
-                tick(now)
-                in_tick += clock() - mark
-                engine._dispatched += 1
-                now += step_s
-            prof.add("dispatch", clock() - loop_start - in_tick)
+            tick(now)
+            engine._dispatched += 1
+            now += step_s
     finally:
+        sim._next_tick_s = now
         if skip_validation:
             cluster._validate = True
-    engine._now = max(engine._now, total * step_s - 1e-9)
-    profile = prof.snapshot() if prof is not None else None
-    return sim._metrics.finish(sim._config, sim._scheduler.name,
-                               profile=profile)
+
+
+def drain(sim) -> None:
+    """Close the run's span: engine clock to just before its end.
+
+    Fault events after the last tick but inside the span fire here, as
+    they did before the end of the run.
+    """
+    end = sim._trace.num_steps * sim._trace.step_seconds - 1e-9
+    engine = sim._engine
+    if sim._injector is not None:
+        engine.run_until(end)
+    else:
+        engine._now = max(engine._now, end)

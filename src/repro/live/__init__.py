@@ -7,7 +7,7 @@ replay, a seeded synthetic arrival process, or line-delimited JSON); the
 engine advances incrementally with a hard no-lookahead boundary; the GV
 estimate comes from a pluggable forecaster; and an optional MPC
 controller forks the running simulation's snapshot to race candidate
-placements through fast-backend shadow simulations.
+placements through shadow simulations.
 
 The honesty proof lives in the differential test: a live run driven by
 the :class:`~repro.live.forecast.OracleForecaster` over a

@@ -4,11 +4,11 @@ At each decision boundary the controller forks the running simulation's
 :class:`~repro.state.snapshot.SimulationSnapshot` and races shadow
 simulations of the candidate grouping values over a trace built from
 the observed history plus the forecaster's horizon.  Each shadow
-restores the snapshot into a fresh fast-backend simulation, retargets
+restores the snapshot into a fresh simulation, retargets
 its scheduler to the candidate, runs the horizon out, and reports its
 peak cooling load over the forecast window.  A VMT-TA shadow is a
 clean open-loop run restored at a tick boundary, so it takes the
-planned kernel; closed-loop policies take the stepped one.  The
+planned kernel; closed-loop policies take the per-tick driver.  The
 candidate with the lowest predicted peak wins.
 
 Every policy reads a grouping value only through its Eq. 1 hot-group
@@ -114,7 +114,7 @@ class MPCController:
         shadow = ClusterSimulation(
             config, scheduler, trace=shadow_trace,
             record_heatmaps=snapshot.record_heatmaps,
-            checks="off", backend="fast")
+            checks="off")
         shadow.restore(snapshot, trace_check=False)
         scheduler.retarget_grouping(candidate_gv)
         result = shadow.run()

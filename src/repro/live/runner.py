@@ -11,16 +11,15 @@ through its streaming entry points, one arrival at a time:
    the forecaster's GV estimate, or via the
    :class:`~repro.live.mpc.MPCController`'s shadow-simulation race;
 4. :meth:`~repro.cluster.simulation.ClusterSimulation.advance_stream`
-   runs the ticks whose rows have arrived, at exactly ``k *
-   step_seconds``, the same simulation times the offline batch process
-   would have used.  Between two decisions a VMT-TA or round-robin run
-   is open-loop, so when the simulation
+   runs the ticks whose rows have arrived, at the same simulation times
+   the offline batch run uses.  Between two decisions a VMT-TA or
+   round-robin run is open-loop, so when the simulation
    :attr:`~repro.cluster.simulation.ClusterSimulation.plans_stream`,
    the runner advances once before each decision and once after the
    feed ends, and the planned kernel plans each decision interval as
    one segment.  Any other run (closed-loop policies, telemetry, the
    sanitizer, observers, ambient profiles, checkpoints) advances one
-   tick per arrival on the event engine.
+   tick per arrival on the per-tick driver.
 
 Step 4's exact tick times are what make the oracle differential test
 possible: with a perfect forecaster every decision is a no-op, so the
@@ -127,7 +126,7 @@ class LiveRunner:
         self._gv_trail: List[tuple] = []
         if restore_from is not None:
             # Live state migration: the snapshot refills the buffer's
-            # ingested prefix and positions the tick process; the feed
+            # ingested prefix and positions the next tick; the feed
             # is rewound to the first un-ingested interval in run().
             self._sim.restore(restore_from)
             if self._buffer.filled != self._sim._step_index:

@@ -8,7 +8,7 @@ run them at hardware speed without changing a single simulated bit:
 * :class:`~repro.perf.runner.RunSpec` / :class:`~repro.perf.runner.ExperimentRunner`
   -- describe independent simulation jobs as picklable values and fan
   them across a process pool or a shared-memory thread pool
-  (``workers_mode="thread"``, pairing with ``backend="fast"``), or run
+  (``workers_mode="thread"``, pairing with the planned kernel), or run
   them serially in-process, with deterministic, submission-ordered
   results and per-job error capture;
 * :class:`~repro.perf.cache.TraceCache` / :func:`~repro.perf.cache.shared_trace`
@@ -16,7 +16,7 @@ run them at hardware speed without changing a single simulated bit:
   exactly once per process and share it across sweep points;
 * :class:`~repro.perf.profiler.TickProfiler` -- per-subsystem wall-clock
   timing of the tick hot path (placement, air model, PCM, estimator,
-  metrics -- or the kernel stages under ``backend="fast"``), surfaced on
+  metrics -- or the planned kernel's stages), surfaced on
   ``SimulationResult.profile`` and via the ``repro-sim profile`` CLI
   subcommand;
 * :func:`~repro.perf.timing.interleaved_best` -- the warm-up +

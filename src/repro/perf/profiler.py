@@ -27,8 +27,9 @@ The timed sections, in tick order:
     (:class:`~repro.checks.sanitizer.SimulationSanitizer`), present only
     when a run enables ``checks="cheap"`` or ``"full"``.
 
-Fast-backend runs (``backend="fast"``) report kernel-stage sections
-instead of (or alongside) the per-tick ones:
+Runs on the planned kernel (:mod:`repro.kernel.planned`) report its
+stages instead of the per-tick sections; runs on the per-tick driver
+(:mod:`repro.kernel.stepped`) report the per-tick sections above:
 
 ``kernel_plan``
     The planned kernel's placement replay: per-tick dealing and the
@@ -40,9 +41,8 @@ instead of (or alongside) the per-tick ones:
     Computing the recorded series as whole columns and block-writing
     them into the :class:`~repro.cluster.metrics.MetricsCollector`.
 ``dispatch``
-    Driver overhead outside the kernels proper: eligibility checks,
-    buffer setup, and state sync (planned), or the tick-loop bookkeeping
-    the event heap used to do (stepped).
+    Planned-kernel overhead outside its stages: eligibility checks,
+    buffer setup, and state sync.
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-#: Sections the reference per-tick loop reports ("checks" only when a
+#: Sections the per-tick driver reports ("checks" only when a
 #: sanitizer is attached).
 REFERENCE_SECTIONS: Tuple[str, ...] = (
     "placement", "air_model", "pcm", "estimator", "metrics", "checks")
 
-#: Sections the fast-backend kernels report instead.
+#: Sections the planned kernel reports instead.
 KERNEL_SECTIONS: Tuple[str, ...] = (
     "kernel_plan", "kernel_fused_step", "kernel_metrics_write",
     "dispatch")

@@ -82,10 +82,8 @@ class RunSpec:
     #: row traces back to the exact scenario definition.
     scenario: Optional[str] = None
     scenario_sha256: Optional[str] = None
-    #: Tick-engine backend ("reference" | "fast"); ``None`` defers to
-    #: the ``REPRO_BACKEND`` environment variable.  The fast backend is
-    #: bit-identical to the reference, so sweeps may mix backends
-    #: freely without changing a single output.
+    #: Retired: validated when the spec runs, and it selects nothing
+    #: (every run takes the planned kernel or the per-tick driver).
     backend: Optional[str] = None
 
     @property
@@ -205,7 +203,9 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
     # the cluster layer must not depend on the perf layer at import time.
     from ..cluster.simulation import run_simulation
     from ..core.policies import make_scheduler
+    from ..kernel import check_backend
 
+    check_backend(spec.backend)
     spec_checkpoint_dir = None
     if spec.checkpoint_dir is not None:
         import os
@@ -248,7 +248,6 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
             from ..state import restore_simulation
             sim = restore_simulation(
                 resumable, telemetry=telemetry, checks=spec.checks,
-                backend=spec.backend,
                 checkpoint_every=spec.checkpoint_every,
                 checkpoint_dir=spec_checkpoint_dir,
                 deadline=deadline)
@@ -258,7 +257,6 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
                           profiler=profiler,
                           telemetry=telemetry,
                           checks=spec.checks,
-                          backend=spec.backend,
                           checkpoint_every=spec.checkpoint_every,
                           checkpoint_dir=spec_checkpoint_dir,
                           deadline=deadline)
@@ -318,9 +316,9 @@ class ExperimentRunner:
         ``"process"`` (default) fans jobs across a process pool;
         ``"thread"`` uses a thread pool instead.  Threads share the
         parent's read-only trace cache (no per-worker regeneration, no
-        pickling) and suit the fast backend, whose whole-run numpy
-        kernels release the GIL for much of their work; pure-python
-        reference ticks serialize on the GIL and rarely benefit.
+        pickling) and suit the planned kernel, whose whole-run numpy
+        work releases the GIL for much of its time; pure-python
+        per-tick runs serialize on the GIL and rarely benefit.
         Results are bit-identical across all modes.
     """
 

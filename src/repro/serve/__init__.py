@@ -6,7 +6,7 @@ service with four moving parts:
 * :mod:`~repro.serve.http` -- a dependency-free asyncio HTTP/1.1 + SSE
   substrate;
 * :mod:`~repro.serve.registry` -- the content-addressed run registry
-  (config x trace x policy x backend -> result, deduplicated, with a
+  (config x trace x policy -> result, deduplicated, with a
   run-ledger manifest per entry);
 * :mod:`~repro.serve.jobs` -- request validation, the persistent job
   store, thread-pool execution, crash recovery;

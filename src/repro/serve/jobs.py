@@ -46,8 +46,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from .. import api
 from ..config import TraceConfig, paper_cluster_config
 from ..core.policies import SCHEDULER_NAMES
-from ..errors import ConfigurationError, ReproError
-from ..kernel import resolve_backend
+from ..errors import ConfigurationError
+from ..kernel import check_backend
 from ..obs.telemetry import sanitize_run_id
 from ..perf.runner import RunSpec, execute_spec
 from ..scenarios import scenario_names
@@ -121,13 +121,13 @@ def _check_policy(policy: Any) -> str:
 
 
 def _check_backend(payload: Dict[str, Any]) -> Optional[str]:
+    """The retired ``backend`` field: validated, then never used."""
     backend = payload.get("backend")
-    if backend is None:
-        return None
     try:
-        return resolve_backend(backend)
-    except (ConfigurationError, ReproError) as exc:
+        check_backend(backend)
+    except ConfigurationError as exc:
         raise _bad(str(exc))
+    return backend
 
 
 def _check_checks(payload: Dict[str, Any]) -> Optional[str]:
@@ -345,7 +345,7 @@ class JobManager:
     """Validates, persists, executes, and recovers server jobs."""
 
     #: Default per-job wall-clock budget (seconds).  Generous enough for
-    #: paper-scale runs on the reference backend, but finite: a wedged
+    #: paper-scale runs on the per-tick driver, but finite: a wedged
     #: job must release its worker thread eventually.
     DEFAULT_TIMEOUT_S = 3600.0
 
@@ -517,7 +517,7 @@ class JobManager:
     def _execute_run(self, record: JobRecord) -> None:
         request = record.request
         config = self._run_config(request)
-        key = registry_key(config, request["policy"], request["backend"])
+        key = registry_key(config, request["policy"])
         with self._lock:
             record.registry_key = key.digest
             self._persist(record)
@@ -546,7 +546,7 @@ class JobManager:
         spec = RunSpec(
             config, request["policy"], label=record.job_id,
             record_heatmaps=True, telemetry_dir=job_dir,
-            checks=request.get("checks"), backend=request.get("backend"),
+            checks=request.get("checks"),
             checkpoint_every=checkpoint_every,
             checkpoint_dir=self._checkpoint_dir
             if checkpoint_every is not None else None,
@@ -570,7 +570,7 @@ class JobManager:
         """Stream a live run; SSE tails its telemetry trace as it goes.
 
         Live results are not registry-backed: they depend on the feed
-        and forecaster, not just (config, policy, backend), so caching
+        and forecaster, not just (config, policy), so caching
         under the batch registry key would conflate the two.
         """
         from ..obs.telemetry import Telemetry
@@ -607,7 +607,7 @@ class JobManager:
             num_servers=request["num_servers"], seed=request["seed"],
             inlet_stdev_c=request["inlet_stdev_c"],
             wax_threshold=request["wax_threshold"], max_workers=1,
-            checks=request.get("checks"), backend=request.get("backend"))
+            checks=request.get("checks"))
         with self._lock:
             record.cached = False
             record.result = sweep.to_json()

@@ -1,11 +1,11 @@
 """The run registry: content-addressed simulation results on disk.
 
-A simulation is a pure function of (configuration, demand trace, policy,
-tick engine), and every one of those already has a canonical identity:
-the config's SHA-256 (:func:`repro.obs.ledger.config_sha256`), the
-trace's fingerprint (:meth:`TraceMatrix.fingerprint`), the policy key,
-and the resolved backend name.  The registry hashes those four into one
-**registry key** and stores each result exactly once under it:
+A simulation is a pure function of (configuration, demand trace,
+policy), and every one of those already has a canonical identity: the
+config's SHA-256 (:func:`repro.obs.ledger.config_sha256`), the trace's
+fingerprint (:meth:`TraceMatrix.fingerprint`), and the policy key.  The
+registry hashes those three into one **registry key** and stores each
+result exactly once under it:
 
     <dir>/reg-<key>.result.npz      the full result (repro.io format)
     <dir>/reg-<key>.manifest.json   the originating RunLedger manifest
@@ -16,9 +16,11 @@ back bit-identically (same ``fingerprint()``) at zero simulation cost.
 Callers must always surface provenance -- a hit is labeled ``cached``
 with the originating manifest path, never presented as a fresh run.
 
-The fast backend is bit-identical to the reference engine, but the key
-still separates them: equal fingerprints across backends is a property
-we *verify*, not one the cache layer silently assumes.
+The retired ``backend`` keyword is not part of the key: it selects
+nothing, so ``"reference"`` and ``"fast"`` requests share one entry.  An
+entry written under the earlier four-component key (which hashed the
+backend name too) has a different address, so it reads as a miss and
+is re-stored under the three-component one.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ..cluster.metrics import SimulationResult
 from ..config import SimulationConfig
 from ..errors import ReproError
 from ..io import load_result, save_result
-from ..kernel import resolve_backend
+from ..kernel import check_backend
 from ..obs.ledger import RunLedger, config_sha256
 from ..perf.cache import shared_trace
 
@@ -43,12 +45,11 @@ ENTRY_SCHEMA = "repro.registry-entry/1"
 
 @dataclass(frozen=True)
 class RegistryKey:
-    """The four components that address one simulation result."""
+    """The three components that address one simulation result."""
 
     config_sha256: str
     trace_sha256: str
     policy: str
-    backend: str
 
     @property
     def digest(self) -> str:
@@ -56,8 +57,7 @@ class RegistryKey:
         blob = json.dumps(
             {"config_sha256": self.config_sha256,
              "trace_sha256": self.trace_sha256,
-             "policy": self.policy,
-             "backend": self.backend},
+             "policy": self.policy},
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -84,7 +84,6 @@ class RegistryEntry:
             "config_sha256": self.key.config_sha256,
             "trace_sha256": self.key.trace_sha256,
             "policy": self.key.policy,
-            "backend": self.key.backend,
             "fingerprint": self.fingerprint,
             "ticks": self.ticks,
             "result_file": os.path.basename(self.result_path),
@@ -94,17 +93,18 @@ class RegistryEntry:
 
 def registry_key(config: SimulationConfig, policy: str,
                  backend: Optional[str] = None) -> RegistryKey:
-    """Compute the content address of one (config, policy, backend) run.
+    """Compute the content address of one (config, policy) run.
 
     The trace fingerprint comes from the shared trace cache, so keying a
     config whose trace was already built (or is about to be run) costs
-    no extra generation.
+    no extra generation.  ``backend`` is retired: validated, and not
+    part of the key.
     """
+    check_backend(backend)
     trace = shared_trace(config)
     return RegistryKey(config_sha256=config_sha256(config),
                        trace_sha256=trace.fingerprint(),
-                       policy=policy,
-                       backend=resolve_backend(backend))
+                       policy=policy)
 
 
 class RunRegistry:
@@ -173,8 +173,7 @@ class RunRegistry:
         """
         result_path = os.path.join(self._dir, key.run_id + ".result.npz")
         save_result(result, result_path)
-        extra: Dict[str, Any] = {"registry_key": key.digest,
-                                 "backend": key.backend}
+        extra: Dict[str, Any] = {"registry_key": key.digest}
         if source is not None:
             extra["source"] = source
         self._ledger.record(

@@ -9,7 +9,7 @@ minimal but complete discrete-event engine:
   timestamped callbacks;
 * :class:`~repro.sim.engine.Engine` -- the clock and run loop;
 * :class:`~repro.sim.process.PeriodicProcess` -- fixed-rate processes such
-  as the 1-minute wax model update;
+  as the per-tick hazard-failure sampler;
 * :class:`~repro.sim.rng.RngStreams` -- named, independently seeded random
   streams so that adding randomness to one subsystem never perturbs
   another.

@@ -141,7 +141,7 @@ class Engine:
         The event queue holds live callbacks, so it is deliberately not
         part of this state: snapshots are only taken at quiescent tick
         boundaries where every pending event is reconstructable from
-        configuration (the tick process, scripted fault events, pending
+        configuration (scripted fault events, the hazard process, pending
         auto-repairs -- each owner re-schedules its own on restore).
         """
         return {"now_s": self._now, "dispatched": self._dispatched}

@@ -53,11 +53,6 @@ class EventQueue:
         """Insert an event and return it (for later cancellation)."""
         if event.time < 0:
             raise SimulationError("cannot schedule an event before time 0")
-        # Drop cancelled events at the head, so a process re-armed many
-        # times between dispatches leaves no pile of tombstones.
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
         heapq.heappush(
             self._heap, (event.time, event.priority, next(self._counter), event))
         return event
@@ -87,7 +82,7 @@ class EventQueue:
 
         ``len(queue)`` counts tombstones left behind by :meth:`Event.cancel`;
         this walks the heap and counts only events that will actually fire.
-        Queues here are small (a tick process plus fault events), so the
+        Queues here are small (fault events only), so the
         linear scan is fine.
         """
         return sum(1 for *_, event in self._heap if not event.cancelled)

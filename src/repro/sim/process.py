@@ -12,7 +12,7 @@ TickCallback = Callable[[float], None]
 
 
 class PeriodicProcess:
-    """A fixed-rate process, e.g. the paper's once-per-minute wax update.
+    """A fixed-rate process, e.g. the per-tick hazard-failure sampler.
 
     The callback receives the current simulation time.  Returning normally
     reschedules the next tick; calling :meth:`stop` (from inside the
@@ -54,18 +54,6 @@ class PeriodicProcess:
             self._pending = self._engine.schedule_after(
                 self._period, self._fire, priority=self._priority,
                 name=self._name)
-
-    def rearm(self, at_s: float) -> None:
-        """Move the next tick to ``at_s``.
-
-        For a driver that ran the ticks before ``at_s`` without the
-        engine: the queued tick is cancelled and the process resumes
-        from ``at_s``.
-        """
-        if self._pending is not None:
-            self._pending.cancel()
-        self._pending = self._engine.schedule_at(
-            at_s, self._fire, priority=self._priority, name=self._name)
 
     def stop(self) -> None:
         """Halt the process; any queued tick is cancelled."""

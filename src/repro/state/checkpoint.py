@@ -60,16 +60,17 @@ def restore_simulation(source: Union[str, SimulationSnapshot], *,
     rebuilt simulation is restored to the captured tick and its
     :meth:`~repro.cluster.simulation.ClusterSimulation.run` continues
     from there.  Pass ``checkpoint_every``/``checkpoint_dir`` to keep
-    checkpointing the resumed run.  ``backend`` selects the tick engine
-    for the continuation ("reference" | "fast"; ``None`` defers to
-    ``REPRO_BACKEND``) -- both continue bit-identically, so a run may be
-    checkpointed under one backend and resumed under the other.
+    checkpointing the resumed run.  ``backend`` is retired: validated,
+    and it selects nothing.
     """
     # Imported lazily: this package must stay importable from the layers
     # it snapshots without a cycle.
     from ..cluster.simulation import ClusterSimulation
     from ..config import SimulationConfig
     from ..core.policies import make_scheduler
+    from ..kernel import check_backend
+
+    check_backend(backend)
 
     snapshot = (source if isinstance(source, SimulationSnapshot)
                 else load_snapshot(source))
@@ -78,7 +79,6 @@ def restore_simulation(source: Union[str, SimulationSnapshot], *,
     sim = ClusterSimulation(config, scheduler,
                             record_heatmaps=snapshot.record_heatmaps,
                             telemetry=telemetry, checks=checks,
-                            backend=backend,
                             checkpoint_every=checkpoint_every,
                             checkpoint_dir=checkpoint_dir,
                             deadline=deadline)
@@ -92,9 +92,15 @@ def resume_run(source: Union[str, SimulationSnapshot], *,
                checkpoint_every: Optional[int] = None,
                checkpoint_dir: Optional[str] = None,
                deadline=None):
-    """Restore from ``source`` and run to completion (the resume path)."""
+    """Restore from ``source`` and run to completion (the resume path).
+
+    ``backend`` is retired: validated, and it selects nothing.
+    """
+    from ..kernel import check_backend
+
+    check_backend(backend)
     return restore_simulation(
-        source, telemetry=telemetry, checks=checks, backend=backend,
+        source, telemetry=telemetry, checks=checks,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir, deadline=deadline).run()
 

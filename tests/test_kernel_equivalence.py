@@ -1,16 +1,25 @@
-"""Backend equivalence: ``backend="fast"`` is bit-identical, and engages.
+"""Kernel equivalence: the planned kernel is bit-identical, and engages.
 
-The fast tick engine's contract is exact: same RNG stream consumption,
-same IEEE-754 operation order per element, same recorded series as the
-reference event-engine loop.  ``SimulationResult.fingerprint()`` (the
+The reference is the per-tick chain (``Scheduler.place`` ->
+``Cluster.step`` -> ``MetricsCollector.record``) fired once per tick by
+the stepped driver; attaching a no-op observer forces any run onto it
+(``run_backend(..., "reference")``).  The planned kernel's contract is
+exact: same RNG stream consumption, same IEEE-754 operation order per
+element, same recorded series.  ``SimulationResult.fingerprint()`` (the
 golden-trace hash) is the oracle throughout, so any single-bit drift in
 any recorded series fails these tests.
 
+Fault runs went through an event-heap tick loop before the stepped
+driver took them over; :data:`HEAP_LOOP_PINS` holds what that loop
+produced (fingerprint, dispatch count, pending events, engine clock)
+and the driver must reproduce it exactly.
+
 The suite also pins *dispatch*: clean open-loop runs (round-robin, and
 VMT-TA at every grouping value) must take the planned whole-run kernel,
-other clean runs the stepped driver, and fault/telemetry runs must fall
-back to the reference engine -- otherwise a silently-ineligible fast
-path would pass equivalence while delivering no speedup.
+and every other run the stepped driver -- otherwise a
+silently-ineligible planned path would pass equivalence while
+delivering no speedup.  The retired ``backend`` keyword and
+``REPRO_BACKEND`` change nothing; a bad ``backend`` value still raises.
 
 The default config (GV 22) never overflows a group, so the open-loop
 cases below add the ticks where VMT-TA spills across groups, the empty
@@ -20,19 +29,23 @@ Runs restored from a mid-run checkpoint are planned from the restored
 tick, and must finish exactly as the straight reference run does.  The
 kernel also stops at any tick: a checkpointing run is planned in
 segments, and every snapshot it writes between two segments must equal
-the reference run's at that tick.
+the reference run's at that tick.  A generated differential resumes
+runs with scripted faults off the tick grid and hazard failures from a
+drawn checkpoint tick.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.analysis.sweep import gv_sweep
 from repro.cluster.simulation import ClusterSimulation, run_simulation
 from repro.cluster.state import ClusterView
@@ -42,13 +55,16 @@ from repro.config import (CoolingFaultSpec, FaultConfig, SensorFaultSpec,
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
 from repro.core.scheduler import NUM_WORKLOADS
 from repro.core.vmt_ta import VMTThermalAwareScheduler
-from repro.kernel import is_numba_available, planned, resolve_backend
+from repro.kernel import is_numba_available, planned
 from repro.kernel.planned import plan_vmt_ta
 from repro.errors import ConfigurationError, TraceError
 from repro.live import LiveTraceBuffer
+from repro.perf.runner import RunSpec, execute_spec
 from repro.scenarios import get_scenario
+from repro.serve.registry import registry_key
 from repro.state.checkpoint import (checkpoint_path, latest_checkpoint,
-                                    restore_simulation, verify_roundtrip)
+                                    restore_simulation, resume_run,
+                                    verify_roundtrip)
 from repro.state.snapshot import load_snapshot
 
 NUM_SERVERS = 24
@@ -68,6 +84,58 @@ FAULTS = FaultConfig(
                                    sensor="wax", mode="stuck"),),
 )
 
+#: Temperature-hazard failures, each repaired half an hour later.
+HAZARD = FaultConfig(enabled=True, hazard_failures=True,
+                     hazard_acceleration=3000.0, auto_repair=True,
+                     repair_time_s=1800.0)
+
+#: Scripted faults, repairs and clears none of which fall on a tick.
+OFF_GRID = FaultConfig(
+    enabled=True,
+    server_faults=(ServerFaultSpec(time_s=5430.5, server_id=2,
+                                   repair_after_s=1234.5),),
+    sensor_faults=(SensorFaultSpec(time_s=1234.5, server_id=4,
+                                   sensor="air", mode="drift",
+                                   drift_c_per_hour=3.0,
+                                   clear_after_s=4321.25),),
+    cooling_faults=(CoolingFaultSpec(time_s=7777.7, capacity_factor=0.8,
+                                     restore_after_s=999.9),),
+)
+
+#: A fault and its repair between the last tick and the end of the run,
+#: and a sensor fault after the end that never fires.
+TAIL = FaultConfig(
+    enabled=True,
+    server_faults=(ServerFaultSpec(time_s=HOURS * 3600 - 30.0,
+                                   server_id=1, repair_after_s=10.0),),
+    sensor_faults=(SensorFaultSpec(time_s=HOURS * 3600 + 0.5,
+                                   server_id=4),),
+)
+
+#: Fault configs, by the names :data:`HEAP_LOOP_PINS` uses.
+PINNED_FAULTS = {"faults": FAULTS, "hazard": HAZARD, "off-grid": OFF_GRID,
+                 "tail": TAIL}
+
+#: What the event-heap tick loop produced for fault runs before the
+#: stepped driver replaced it: (fingerprint, events dispatched, pending
+#: events) per (:data:`PINNED_FAULTS` name or library scenario, policy);
+#: its engine clock ended at ``HOURS * 3600 - 1e-9`` in every one.
+HEAP_LOOP_PINS = {
+    ("faults", "coolest-first"): ("67ac7a91accdded5", 365, 0),
+    ("faults", "round-robin"): ("79e2d0e68f880443", 365, 0),
+    ("faults", "vmt-preserve"): ("fd29a5a17b5117a0", 365, 0),
+    ("faults", "vmt-ta"): ("5f9208ba8048709d", 365, 0),
+    ("faults", "vmt-wa"): ("7cb237673a9c9bac", 365, 0),
+    ("hazard", "vmt-ta"): ("54fafb1d1683735a", 728, 0),
+    ("hazard", "vmt-wa"): ("fb8f23f1ce6ff6ce", 727, 0),
+    ("off-grid", "vmt-ta"): ("c165172e898d6684", 366, 0),
+    ("off-grid", "vmt-wa"): ("8cd0ed7f442de91f", 366, 0),
+    ("tail", "vmt-ta"): ("fd70bf7ee4d56da3", 362, 1),
+    ("tail", "vmt-wa"): ("549ab2d00ee94de1", 362, 1),
+    ("heat-wave", "vmt-wa"): ("549ab2d00ee94de1", 360, 0),
+    ("sensor-fault-storm", "vmt-wa"): ("549ab2d00ee94de1", 366, 18),
+}
+
 
 #: Open-loop runs beyond the default GV 22, which never overflows a
 #: group: (policy, servers, grouping value), keyed by test id.
@@ -84,13 +152,16 @@ OPEN_LOOP = {
 }
 
 
-def small_config(faults: bool = False, num_servers: int = NUM_SERVERS,
+def small_config(faults=False, num_servers: int = NUM_SERVERS,
                  grouping_value: float = 22.0):
+    """The suite's config; ``faults`` is ``True`` (for :data:`FAULTS`) or
+    a :class:`FaultConfig`."""
     config = paper_cluster_config(num_servers=num_servers,
                                   grouping_value=grouping_value, seed=SEED)
     config = config.replace(trace=TraceConfig(duration_hours=HOURS))
     if faults:
-        config = dataclasses.replace(config, faults=FAULTS)
+        config = dataclasses.replace(
+            config, faults=FAULTS if faults is True else faults)
     return config
 
 
@@ -126,10 +197,27 @@ def partly_filled_buffer(config, rows: int) -> LiveTraceBuffer:
     return buffer
 
 
+def _noop_observer(time_s, demand, placement, cluster):
+    """Attached only to force the per-tick driver."""
+
+
+def per_tick(sim):
+    """``sim`` forced onto the per-tick driver (the planned kernel
+    refuses runs with observers)."""
+    sim.add_observer(_noop_observer)
+    return sim
+
+
 def run_backend(config, policy: str, backend: str):
-    """One run; returns (result, simulation) so tests can read state."""
+    """One run; returns (result, simulation) so tests can read state.
+
+    ``"reference"`` is the per-tick chain, forced by a no-op observer;
+    ``"fast"`` is the default dispatch.
+    """
     sim = ClusterSimulation(config, make_scheduler(policy, config),
-                            record_heatmaps=False, backend=backend)
+                            record_heatmaps=False)
+    if backend == "reference":
+        per_tick(sim)
     return sim.run(), sim
 
 
@@ -182,7 +270,7 @@ class TestBitIdentity:
         config = small_config()
         _, ref_sim = run_backend(config, "vmt-ta", "reference")
         _, fast_sim = run_backend(config, "vmt-ta", "fast")
-        assert ref_sim.kernel_path == "reference"
+        assert ref_sim.kernel_path == "stepped"
         assert fast_sim.kernel_path == "planned"
         ref_snap = ref_sim.snapshot()
         fast_snap = fast_sim.snapshot()
@@ -212,6 +300,30 @@ class TestBitIdentity:
             assert {"alloc", "rng", "tick"} <= set(
                 fast_snap.state["scheduler"])
         assert_state_trees_equal(ref_snap.state, fast_snap.state)
+
+
+class TestHeapLoopPins:
+    """The stepped driver reproduces what the event-heap loop produced
+    for fault runs: same fingerprint, dispatch count, pending events and
+    engine clock, with fault events drained at tick boundaries."""
+
+    @pytest.mark.parametrize("name, policy", HEAP_LOOP_PINS,
+                             ids=[f"{name}-{policy}"
+                                  for name, policy in HEAP_LOOP_PINS])
+    def test_matches_the_heap_loop(self, name, policy):
+        if name in PINNED_FAULTS:
+            config = small_config(PINNED_FAULTS[name])
+        else:
+            config = get_scenario(name).with_overrides(
+                num_servers=NUM_SERVERS, duration_hours=HOURS,
+                seed=SEED).compile()
+        result, sim = run_backend(config, policy, "fast")
+        assert sim.kernel_path == "stepped"
+        fingerprint, dispatched, pending = HEAP_LOOP_PINS[name, policy]
+        assert result.fingerprint() == fingerprint
+        assert sim.engine.events_dispatched == dispatched
+        assert sim.engine.pending_events == pending
+        assert sim.engine.now == HOURS * 3600 - 1e-9
 
 
 def _demand(hot, cold):
@@ -303,11 +415,9 @@ class TestDispatch:
     def test_restored_closed_loop_run_stays_stepped(self, tmp_path):
         config = small_config()
         ClusterSimulation(config, make_scheduler("vmt-wa", config),
-                          record_heatmaps=False, backend="reference",
-                          checkpoint_every=120,
+                          record_heatmaps=False, checkpoint_every=120,
                           checkpoint_dir=str(tmp_path)).run()
-        sim = restore_simulation(checkpoint_path(str(tmp_path), 120),
-                                 backend="fast")
+        sim = restore_simulation(checkpoint_path(str(tmp_path), 120))
         sim.run()
         assert sim.kernel_path == "stepped"
 
@@ -315,12 +425,12 @@ class TestDispatch:
         config = small_config()
         straight, _ = run_backend(config, "vmt-ta", "reference")
         first, again = tmp_path / "first", tmp_path / "again"
-        ClusterSimulation(config, make_scheduler("vmt-ta", config),
-                          record_heatmaps=False, backend="reference",
-                          checkpoint_every=120,
-                          checkpoint_dir=str(first)).run()
+        per_tick(ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                   record_heatmaps=False,
+                                   checkpoint_every=120,
+                                   checkpoint_dir=str(first))).run()
         sim = restore_simulation(checkpoint_path(str(first), 120),
-                                 backend="fast", checkpoint_every=120,
+                                 checkpoint_every=120,
                                  checkpoint_dir=str(again))
         verify_roundtrip(straight, sim.run())
         assert sim.kernel_path == "planned"
@@ -331,12 +441,11 @@ class TestDispatch:
         config = small_config()
         straight, _ = run_backend(config, "vmt-ta", "reference")
         final = config.trace.num_steps
-        ClusterSimulation(config, make_scheduler("vmt-ta", config),
-                          record_heatmaps=False, backend="reference",
-                          checkpoint_every=final,
-                          checkpoint_dir=str(tmp_path)).run()
-        sim = restore_simulation(checkpoint_path(str(tmp_path), final),
-                                 backend="fast")
+        per_tick(ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                   record_heatmaps=False,
+                                   checkpoint_every=final,
+                                   checkpoint_dir=str(tmp_path))).run()
+        sim = restore_simulation(checkpoint_path(str(tmp_path), final))
         verify_roundtrip(straight, sim.run())
         assert sim.kernel_path == "stepped"
 
@@ -347,93 +456,244 @@ class TestDispatch:
         config = small_config()
         sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
                                 trace=partly_filled_buffer(config, 10),
-                                record_heatmaps=False, backend="fast")
+                                record_heatmaps=False)
         with pytest.raises(TraceError, match="no lookahead"):
             sim.run()
         assert sim.kernel_path == "stepped"
 
     def test_fault_runs_fall_back_to_the_engine(self):
-        _, sim = run_backend(small_config(faults=True), "vmt-ta", "fast")
-        assert sim.kernel_path == "reference"
+        """Fault runs take the stepped driver, which runs their fault
+        events on the engine between ticks."""
+        config = small_config(faults=True)
+        _, sim = run_backend(config, "vmt-ta", "fast")
+        assert sim.kernel_path == "stepped"
+        assert sim.engine.events_dispatched > config.trace.num_steps
+
+    def test_telemetry_runs_take_the_stepped_driver(self, tmp_path):
+        config = small_config()
+        sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                record_heatmaps=False,
+                                telemetry=str(tmp_path))
+        assert sim.run().fingerprint() == \
+            run_backend(config, "vmt-ta", "fast")[0].fingerprint()
+        assert sim.kernel_path == "stepped"
 
     def test_reference_backend_never_dispatches_kernels(self):
+        """The reference the suite compares against is the per-tick
+        chain: the no-op observer keeps a plannable run off the planned
+        kernel."""
         _, sim = run_backend(small_config(), "vmt-ta", "reference")
-        assert sim.kernel_path == "reference"
+        assert sim.kernel_path == "stepped"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_backend("vectorized")
+    @pytest.mark.parametrize("backend", ("reference", "fast"))
+    def test_backend_keyword_changes_nothing(self, backend, tmp_path):
+        config = small_config()
+        expected, _ = run_backend(config, "vmt-ta", "fast")
+        sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                record_heatmaps=False, backend=backend)
+        assert sim.run().fingerprint() == expected.fingerprint()
+        assert sim.kernel_path == "planned"
+        assert run_simulation(
+            config, make_scheduler("vmt-ta", config),
+            record_heatmaps=False,
+            backend=backend).fingerprint() == expected.fingerprint()
+        assert execute_spec(RunSpec(
+            config, "vmt-ta", backend=backend)).fingerprint() == \
+            execute_spec(RunSpec(config, "vmt-ta")).fingerprint()
+        assert registry_key(config, "vmt-ta", backend) == \
+            registry_key(config, "vmt-ta")
+        per_tick(ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                   record_heatmaps=False,
+                                   checkpoint_every=120,
+                                   checkpoint_dir=str(tmp_path))).run()
+        path = checkpoint_path(str(tmp_path), 120)
+        resumed = restore_simulation(path, backend=backend)
+        assert resumed.run().fingerprint() == expected.fingerprint()
+        assert resumed.kernel_path == "planned"
+        assert resume_run(path, backend=backend).fingerprint() == \
+            expected.fingerprint()
 
-    def test_env_variable_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None) == "reference"
-        monkeypatch.setenv("REPRO_BACKEND", "fast")
-        assert resolve_backend(None) == "fast"
-        assert resolve_backend("reference") == "reference"
+    def test_unknown_backend_rejected(self, tmp_path):
+        config = small_config()
+        calls = [
+            lambda: ClusterSimulation(config,
+                                      make_scheduler("vmt-ta", config),
+                                      backend="vectorized"),
+            lambda: run_simulation(config, make_scheduler("vmt-ta", config),
+                                   backend="vectorized"),
+            lambda: execute_spec(RunSpec(config, "vmt-ta",
+                                         backend="vectorized")),
+            lambda: restore_simulation(str(tmp_path / "none.npz"),
+                                       backend="vectorized"),
+            lambda: resume_run(str(tmp_path / "none.npz"),
+                               backend="vectorized"),
+            lambda: gv_sweep((22.0,), num_servers=4, backend="vectorized"),
+            lambda: registry_key(config, "vmt-ta", "vectorized"),
+            lambda: api.run(policy="vmt-ta", config=config,
+                            backend="vectorized"),
+            lambda: api.compare(config=config, backend="vectorized"),
+            lambda: api.sweep(grouping_values=(22.0,), num_servers=4,
+                              backend="vectorized"),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError,
+                               match="backend must be one of"):
+                call()
+
+    def test_env_variable_is_ignored(self, monkeypatch):
+        config = small_config()
+        expected, _ = run_backend(config, "vmt-ta", "fast")
+        for value in ("reference", "fast", "vectorized"):
+            monkeypatch.setenv("REPRO_BACKEND", value)
+            result, sim = run_backend(config, "vmt-ta", "fast")
+            assert sim.kernel_path == "planned"
+            assert result.fingerprint() == expected.fingerprint()
 
 
 class TestCheckpointRoundtrip:
     def test_roundtrip_through_the_fast_backend(self, tmp_path):
-        """Checkpoint mid-run under the fast backend, resume under the
-        fast backend, and compare against a straight reference run --
-        the PR 5 oracle, now crossing both engines."""
+        """Checkpoint mid-run on the planned kernel, resume on it, and
+        compare against a straight per-tick run -- the checkpoint
+        oracle, crossing both drivers."""
         config = small_config()
-        straight = run_simulation(config,
-                                  make_scheduler("vmt-ta", config),
-                                  record_heatmaps=False,
-                                  backend="reference")
+        straight, _ = run_backend(config, "vmt-ta", "reference")
         partial = ClusterSimulation(config,
                                     make_scheduler("vmt-ta", config),
-                                    record_heatmaps=False, backend="fast",
+                                    record_heatmaps=False,
                                     checkpoint_every=100,
                                     checkpoint_dir=str(tmp_path))
         partial.run()
+        assert partial.kernel_path == "planned"
         path = latest_checkpoint(str(tmp_path))
         assert path is not None
-        resumed_sim = restore_simulation(path, backend="fast")
+        resumed_sim = restore_simulation(path)
         resumed = resumed_sim.run()
         verify_roundtrip(straight, resumed)
 
     def test_cross_backend_checkpoint_resume(self, tmp_path):
-        """A run checkpointed under reference resumes bit-identically
-        under fast (and the restored run engages a kernel)."""
+        """A run checkpointed on the per-tick driver resumes
+        bit-identically on the planned kernel."""
         config = small_config()
-        straight = run_simulation(config,
-                                  make_scheduler("vmt-ta", config),
-                                  record_heatmaps=False,
-                                  backend="fast")
-        ClusterSimulation(config, make_scheduler("vmt-ta", config),
-                          record_heatmaps=False, backend="reference",
-                          checkpoint_every=150,
-                          checkpoint_dir=str(tmp_path)).run()
-        resumed_sim = restore_simulation(
-            latest_checkpoint(str(tmp_path)), backend="fast")
+        straight, _ = run_backend(config, "vmt-ta", "fast")
+        per_tick(ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                                   record_heatmaps=False,
+                                   checkpoint_every=150,
+                                   checkpoint_dir=str(tmp_path))).run()
+        resumed_sim = restore_simulation(latest_checkpoint(str(tmp_path)))
         resumed = resumed_sim.run()
         assert resumed_sim.kernel_path == "planned"
         verify_roundtrip(straight, resumed)
 
     @pytest.mark.parametrize("case", RESUME_CASES)
     def test_resumed_open_loop_runs_are_planned(self, case, tmp_path):
-        """Resuming a reference checkpoint under fast plans the rest of
-        the run: same fingerprint as the straight run, and the same
-        post-run state as a reference resume from that checkpoint."""
+        """Resuming a per-tick checkpoint plans the rest of the run: same
+        fingerprint as the straight run, and the same post-run state as
+        a per-tick resume from that checkpoint."""
         config, policy = resume_case(case)
-        straight = ClusterSimulation(
+        straight = per_tick(ClusterSimulation(
             config, make_scheduler(policy, config), record_heatmaps=True,
-            backend="reference", checkpoint_every=RESUME_TICKS[0],
-            checkpoint_dir=str(tmp_path)).run()
+            checkpoint_every=RESUME_TICKS[0],
+            checkpoint_dir=str(tmp_path))).run()
         for tick in RESUME_TICKS:
             path = checkpoint_path(str(tmp_path), tick)
-            fast_sim = restore_simulation(path, backend="fast")
+            fast_sim = restore_simulation(path)
             fast = fast_sim.run()
             assert fast_sim.kernel_path == "planned"
             assert fast.fingerprint() == straight.fingerprint()
-            ref_sim = restore_simulation(path, backend="reference")
+            ref_sim = per_tick(restore_simulation(path))
             ref_sim.run()
             ref_snap = ref_sim.snapshot()
             fast_snap = fast_sim.snapshot()
             assert ref_snap.tick == fast_snap.tick
             assert_state_trees_equal(ref_snap.state, fast_snap.state)
+
+
+@st.composite
+def fault_runs(draw):
+    """(config, policy, checkpoint tick) of one generated run: scripted
+    server, sensor and cooling faults at times off the tick grid, and
+    hazard failures on or off.
+
+    Failing a failed server raises, so scripted server faults hit
+    distinct servers, and only when hazard failures are off.  The tick
+    is at least an eighth of the run, so the run writes at most eight
+    checkpoints.
+    """
+    servers = draw(st.integers(4, 24))
+    hours = draw(st.integers(1, 6))
+    span_s = hours * 3600
+    hazard = draw(st.booleans())
+
+    def off_grid():
+        return (draw(st.integers(0, span_s - 1))
+                + draw(st.sampled_from((0.25, 0.5, 0.75))))
+
+    def delay():
+        return draw(st.none() | st.integers(1, 7200).map(lambda s: s + 0.5))
+
+    def server_id():
+        return draw(st.integers(0, servers - 1))
+
+    failed = [] if hazard else draw(st.lists(
+        st.integers(0, servers - 1), max_size=2, unique=True))
+    server_faults = tuple(
+        ServerFaultSpec(time_s=off_grid(), server_id=server,
+                        repair_after_s=delay())
+        for server in failed)
+    sensor_faults = tuple(
+        SensorFaultSpec(time_s=off_grid(), server_id=server_id(),
+                        sensor=draw(st.sampled_from(("air", "wax"))),
+                        mode=draw(st.sampled_from(("stuck", "dropout",
+                                                   "drift"))),
+                        drift_c_per_hour=draw(st.floats(-5.0, 5.0)),
+                        clear_after_s=delay())
+        for _ in range(draw(st.integers(0, 2))))
+    cooling_faults = tuple(
+        CoolingFaultSpec(time_s=off_grid(),
+                         capacity_factor=draw(st.floats(0.5, 1.0)),
+                         restore_after_s=delay())
+        for _ in range(draw(st.integers(0, 1))))
+    faults = FaultConfig(
+        enabled=bool(server_faults or sensor_faults or cooling_faults
+                     or hazard),
+        hazard_failures=hazard, hazard_acceleration=3000.0,
+        repair_time_s=draw(st.integers(60, 7200)) + 0.5,
+        server_faults=server_faults, sensor_faults=sensor_faults,
+        cooling_faults=cooling_faults)
+    config = paper_cluster_config(
+        num_servers=servers, grouping_value=draw(st.floats(1.0, 36.0)),
+        seed=draw(st.integers(0, 99))).replace(
+            trace=TraceConfig(duration_hours=hours))
+    config = dataclasses.replace(config, faults=faults)
+    policy = draw(st.sampled_from(SCHEDULER_NAMES))
+    ticks = config.trace.num_steps
+    return config, policy, draw(st.integers(ticks // 8, ticks - 1))
+
+
+class TestGeneratedCheckpointDifferential:
+    """A run checkpointed at a drawn tick and resumed in a fresh
+    simulation finishes exactly as the straight run does: fingerprint
+    and final state tree, with faults and hazards in flight."""
+
+    @given(case=fault_runs())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_resume_matches_the_straight_run(self, case):
+        config, policy, tick = case
+        with tempfile.TemporaryDirectory() as directory:
+            straight_sim = ClusterSimulation(
+                config, make_scheduler(policy, config),
+                record_heatmaps=False, checkpoint_every=tick,
+                checkpoint_dir=directory)
+            straight = straight_sim.run()
+            resumed_sim = restore_simulation(
+                checkpoint_path(directory, tick))
+            resumed = resumed_sim.run()
+        assert resumed.fingerprint() == straight.fingerprint()
+        got = resumed_sim.snapshot().state
+        # A snapshot counts the dispatches before the tick that wrote
+        # it, so a resumed run's counter ends one lower.
+        got["engine"]["dispatched"] += 1
+        assert_state_trees_equal(straight_sim.snapshot().state, got)
 
 
 class TestPlannedSegments:
@@ -448,8 +708,10 @@ class TestPlannedSegments:
         for backend in ("reference", "fast"):
             sim = ClusterSimulation(
                 config, make_scheduler(policy, config),
-                backend=backend, checkpoint_every=every,
+                checkpoint_every=every,
                 checkpoint_dir=str(tmp_path / backend))
+            if backend == "reference":
+                per_tick(sim)
             results[backend] = sim.run()
             sims[backend] = sim
         assert sims["fast"].kernel_path == "planned"
@@ -492,10 +754,9 @@ class TestParallelModes:
     def test_thread_mode_fast_sweep_matches_serial_reference(self):
         gvs = (18.0, 22.0)
         serial = gv_sweep(gvs, num_servers=NUM_SERVERS, seed=SEED,
-                          max_workers=1, backend="reference")
+                          max_workers=1)
         threaded = gv_sweep(gvs, num_servers=NUM_SERVERS, seed=SEED,
-                            max_workers=2, workers_mode="thread",
-                            backend="fast")
+                            max_workers=2, workers_mode="thread")
         for policy in serial.reductions:
             assert (serial.reductions[policy] ==
                     threaded.reductions[policy]).all()

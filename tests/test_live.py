@@ -9,9 +9,10 @@ determinism, MPC shadow racing, mid-stream checkpoint/resume as state
 migration, and the cooperative (thread-safe) run timeout.
 
 A clean open-loop live run plans each decision interval as one segment;
-it must match the per-row path (one engine tick per arrival, forced by
-attaching an observer) in fingerprint, control trail and the snapshot
-state tree at every decision, on hand-picked and generated cases.
+it must match the per-row path (one tick per arrival on the per-tick
+driver, forced by attaching an observer) in fingerprint, control trail
+and the snapshot state tree at every decision, on hand-picked and
+generated cases.
 """
 
 import glob
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_kernel_equivalence import assert_state_trees_equal
+from test_kernel_equivalence import assert_state_trees_equal, per_tick
 
 from repro import api
 from repro.cluster.simulation import ClusterSimulation, run_simulation
@@ -46,16 +47,12 @@ def tiny_config(hours=2.0, servers=6, seed=11):
         trace=TraceConfig(duration_hours=hours))
 
 
-def _noop_observer(time_s, demand, placement, cluster):
-    """Attached only to force the per-row path."""
-
-
 def run_live(config, policy, feed, *, per_row, decision_every,
              forecaster="last-value", mpc_horizon=None, **kwargs):
     """One live run: (report, state tree at every decision, simulation).
 
-    ``per_row`` attaches a no-op observer, so the run fires one engine
-    tick per arrival instead of planning each decision interval.
+    ``per_row`` attaches a no-op observer, so the run fires one tick per
+    arrival instead of planning each decision interval.
     """
     mpc = (None if mpc_horizon is None
            else MPCController(config, horizon_steps=mpc_horizon))
@@ -63,7 +60,7 @@ def run_live(config, policy, feed, *, per_row, decision_every,
                         decision_every=decision_every, mpc=mpc, **kwargs)
     sim = runner.simulation
     if per_row:
-        sim.add_observer(_noop_observer)
+        per_tick(sim)
     states = []
     decide = runner._decide
 
@@ -80,7 +77,7 @@ def assert_live_runs_equal(planned_run, per_row_run):
     (planned, planned_states, planned_sim) = planned_run
     (per_row, per_row_states, per_row_sim) = per_row_run
     assert planned_sim.kernel_path == "planned"
-    assert per_row_sim.kernel_path == "reference"
+    assert per_row_sim.kernel_path == "stepped"
     assert planned.result.fingerprint() == per_row.result.fingerprint()
     assert planned.steps_ingested == per_row.steps_ingested
     assert planned.gv_trail == per_row.gv_trail
@@ -237,6 +234,21 @@ class TestOracleDifferential:
         assert live.result.fingerprint() == batch.fingerprint()
         assert live.steps_ingested == config.trace.num_steps
 
+    @pytest.mark.parametrize("policy", ("vmt-wa", "coolest-first"))
+    def test_step_not_exact_in_binary(self, policy):
+        """At a 59.9 s step the accumulated tick time passes ``k * 59.9``
+        from tick 21 on; each live tick still fires as its row arrives,
+        at the batch run's time, and none is dropped."""
+        config = SimulationConfig(
+            num_servers=6, seed=11,
+            trace=TraceConfig(duration_hours=1.0, step_seconds=59.9))
+        batch = run_simulation(config, make_scheduler(policy, config))
+        live = LiveRunner(config, policy,
+                          TraceReplayFeed.from_config(config),
+                          forecaster="oracle").run()
+        assert len(live.result.times_s) == config.trace.num_steps == 60
+        assert live.result.fingerprint() == batch.fingerprint()
+
     def test_live_runs_are_deterministic(self):
         config = tiny_config()
         fingerprints = set()
@@ -327,9 +339,9 @@ class TestMPC:
         assert reports[0].mpc_decisions == reports[1].mpc_decisions
 
     def test_shadow_is_planned_and_matches_reference(self):
-        """A VMT-TA shadow is a clean open-loop run restored mid-run:
-        under the fast backend it takes the planned kernel, and it runs
-        bit-identically to the same shadow on the reference loop."""
+        """A VMT-TA shadow is a clean open-loop run restored mid-run: it
+        takes the planned kernel, and it runs bit-identically to the
+        same shadow forced onto the per-tick driver."""
         config = tiny_config(hours=4.0, servers=8, seed=7)
         mpc = MPCController(config, horizon_steps=30, max_workers=1)
         forks = []
@@ -355,19 +367,20 @@ class TestMPC:
                 > config.server.cores).all()
 
         fingerprints = {}
-        for backend in ("reference", "fast"):
+        for per_row in (False, True):
             shadow_config = SimulationConfig.from_dict(snapshot.config)
             scheduler = make_scheduler(snapshot.policy, shadow_config)
             shadow = ClusterSimulation(
                 shadow_config, scheduler, trace=trace,
-                record_heatmaps=snapshot.record_heatmaps, checks="off",
-                backend=backend)
+                record_heatmaps=snapshot.record_heatmaps, checks="off")
             shadow.restore(snapshot, trace_check=False)
+            if per_row:
+                per_tick(shadow)
             scheduler.retarget_grouping(gv)
-            fingerprints[backend] = shadow.run().fingerprint()
+            fingerprints[per_row] = shadow.run().fingerprint()
             assert shadow.kernel_path == (
-                "planned" if backend == "fast" else "reference")
-        assert fingerprints["fast"] == fingerprints["reference"]
+                "stepped" if per_row else "planned")
+        assert fingerprints[False] == fingerprints[True]
 
     @pytest.mark.parametrize("workers", (1, 4))
     def test_one_shadow_per_distinct_hot_group_size(self, workers):
@@ -468,8 +481,8 @@ class TestSegmentPlanning:
         assert_live_runs_equal(*runs)
 
     def test_observer_attached_mid_stream_takes_over_on_the_engine(self):
-        """Planned ticks re-arm the tick process, so a stream that stops
-        being plannable fires its next tick on the engine, on time."""
+        """After planned ticks, a stream that stops being plannable fires
+        its next tick on the per-tick driver, on time."""
         config = tiny_config(hours=2.0, servers=8, seed=7)
         trace = TraceReplayFeed.from_config(config).trace
         buffer = LiveTraceBuffer(trace.num_steps, trace.step_seconds,
@@ -482,7 +495,6 @@ class TestSegmentPlanning:
             if step < 50:
                 sim.advance_stream(step)
         assert sim.kernel_path == "planned"
-        assert len(sim.engine._queue) == 1  # no pile of cancelled ticks
         seen = []
         sim.add_observer(lambda time_s, *_: seen.append(time_s))
         assert not sim.plans_stream
@@ -544,7 +556,10 @@ class TestSegmentPlanning:
                             forecaster="oracle", **kwargs)
         assert runner.simulation.plans_stream == (path == "planned")
         report = runner.run()
-        assert runner.simulation.kernel_path == path
+        # "reference" is the per-tick chain, which the stepped driver
+        # fires one tick per arrival.
+        assert runner.simulation.kernel_path == (
+            "stepped" if path == "reference" else path)
         batch = run_simulation(config, make_scheduler(policy, config))
         assert report.result.fingerprint() == batch.fingerprint()
 
@@ -565,7 +580,7 @@ def live_cases(draw):
 class TestGeneratedLiveDifferential:
     """Generated open-loop live runs: planned segments == per-row path,
     decision by decision, and with the oracle over a replay feed and no
-    MPC, == the batch reference run."""
+    MPC, == the batch run on the per-tick chain."""
 
     @given(case=live_cases())
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -588,8 +603,8 @@ class TestGeneratedLiveDifferential:
                 for per_row in (False, True)]
         assert_live_runs_equal(*runs)
         if forecaster == "oracle" and feed == "replay" and horizon is None:
-            batch = run_simulation(config, make_scheduler(policy, config),
-                                   backend="reference")
+            batch = per_tick(ClusterSimulation(
+                config, make_scheduler(policy, config))).run()
             assert runs[0][0].result.fingerprint() == batch.fingerprint()
 
 

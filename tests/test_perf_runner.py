@@ -17,7 +17,7 @@ from repro.errors import SimulationError
 from repro.perf import (ExperimentRunner, RunFailure, RunSpec,
                         TickProfiler, TraceCache, clear_shared_cache,
                         execute_spec, shared_trace)
-from repro.perf.profiler import REFERENCE_SECTIONS
+from repro.perf.profiler import KERNEL_SECTIONS, REFERENCE_SECTIONS
 
 
 def tiny_config(seed=11, **overrides):
@@ -141,7 +141,8 @@ class TestProfiler:
         assert plain.profile is None
 
     def test_profile_covers_every_section(self):
-        result = execute_spec(RunSpec(tiny_config(), "vmt-ta",
+        # A closed-loop run takes the per-tick driver.
+        result = execute_spec(RunSpec(tiny_config(), "vmt-wa",
                                       profile=True))
         assert result.profile is not None
         # "checks" only appears when a sanitizer is attached.
@@ -150,6 +151,12 @@ class TestProfiler:
         for section, timing in result.profile.items():
             assert timing["calls"] == ticks, section
             assert timing["total_s"] > 0.0, section
+        # A clean VMT-TA run is planned: one call per kernel stage.
+        result = execute_spec(RunSpec(tiny_config(), "vmt-ta",
+                                      profile=True))
+        assert set(result.profile) == set(KERNEL_SECTIONS)
+        for section, timing in result.profile.items():
+            assert timing["calls"] == 1, section
 
     def test_checks_section_times_the_sanitizer(self):
         result = execute_spec(RunSpec(tiny_config(), "vmt-ta",

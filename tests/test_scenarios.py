@@ -404,13 +404,15 @@ class TestSuiteExecution:
         assert "policy ranking" in text and "0 check violations" in text
 
     def test_failed_scenario_is_a_structured_row_not_an_abort(self):
-        # A ten-day trace cannot finish inside a 1-second budget, so
-        # the doomed scenario's runs become RunFailure rows while the
-        # short heat wave still completes and verifies.
+        # A closed-loop policy ticks one step at a time, so over a
+        # ten-day trace it cannot finish inside a 1-second budget (a
+        # clean VMT-TA run of that trace is planned and can), and the
+        # doomed scenario's runs become RunFailure rows while the short
+        # heat wave still completes and verifies.
         doomed = tiny_spec(name="doomed", duration_hours=240.0)
         heat = get_scenario("heat-wave").with_overrides(**self.SMALL)
         report = run_suite(scenarios=[doomed, heat],
-                           policies=["vmt-ta"], max_workers=1,
+                           policies=["vmt-wa"], max_workers=1,
                            timeout_s=1.0)
         assert len(report.records) == 2
         doomed_row = next(r for r in report.records
@@ -426,10 +428,12 @@ class TestSuiteExecution:
         assert not report.passed
 
     def test_timeout_becomes_a_structured_failure(self):
-        spec = tiny_spec()
+        # A closed-loop policy over a ten-day trace: no driver finishes
+        # it in the budget.
+        spec = tiny_spec(duration_hours=240.0)
         runner = ExperimentRunner(max_workers=1)
         outcome = runner.run(
-            [RunSpec(config=spec.compile(), policy="vmt-ta",
+            [RunSpec(config=spec.compile(), policy="vmt-wa",
                      label="hung", timeout_s=0.01)],
             raise_on_error=False)[0]
         assert isinstance(outcome, RunFailure)
@@ -484,11 +488,11 @@ class TestKilledWorkerRecovery:
     def test_job_failing_after_pool_crash_reports_two_attempts(
             self, monkeypatch):
         # The victim both SIGKILLs its worker *and* fails legitimately
-        # on the serial retry (a ten-day trace against a 1-second
-        # budget), so the bounded retry is exercised end to end:
-        # crash -> retry -> fail.
+        # on the serial retry (a closed-loop policy over a ten-day
+        # trace against a 1-second budget), so the bounded retry is
+        # exercised end to end: crash -> retry -> fail.
         doomed = tiny_spec(name="doomed-victim", duration_hours=240.0)
-        specs = [RunSpec(config=doomed.compile(), policy="vmt-ta",
+        specs = [RunSpec(config=doomed.compile(), policy="vmt-wa",
                          label="victim", timeout_s=1.0),
                  RunSpec(config=tiny_spec().compile(),
                          policy="round-robin", label="bystander")]

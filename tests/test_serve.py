@@ -17,11 +17,13 @@ Everything runs against a real server on an ephemeral port -- requests
 go over actual sockets, not handler calls.
 """
 
+import hashlib
 import json
 import socket
 import time
 import urllib.error
 import urllib.request
+from dataclasses import dataclass
 
 import pytest
 
@@ -207,6 +209,67 @@ class TestRegistrySemantics:
         assert entry is not None
         loaded = registry.load(entry)
         assert loaded.fingerprint() == result.fingerprint()
+
+
+@dataclass(frozen=True)
+class _FourComponentKey:
+    """The registry key as it was while it also hashed the backend."""
+
+    config_sha256: str
+    trace_sha256: str
+    policy: str
+    backend: str
+
+    @property
+    def digest(self) -> str:
+        blob = json.dumps(
+            {"config_sha256": self.config_sha256,
+             "trace_sha256": self.trace_sha256,
+             "policy": self.policy, "backend": self.backend},
+            sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    @property
+    def run_id(self) -> str:
+        return f"reg-{self.digest[:24]}"
+
+
+class TestRetiredBackendKey:
+    def test_fast_after_reference_is_a_hit(self, server):
+        first = _submit_and_await(server, "/v1/runs",
+                                  dict(TINY, backend="reference"))
+        assert first["cached"] is False
+        second = _submit_and_await(server, "/v1/runs",
+                                   dict(TINY, backend="fast"))
+        assert second["cached"] is True
+        assert second["sim_ticks_executed"] == 0
+        assert second["registry_key"] == first["registry_key"]
+        assert second["fingerprint"] == first["fingerprint"]
+
+    def test_entry_under_the_four_component_key_is_a_miss(self, tmp_path):
+        """An entry stored under the earlier key reads as a miss and is
+        re-stored under the three-component one -- never an error."""
+        clear_shared_cache()
+        config = tiny_config()
+        key = registry_key(config, "vmt-ta")
+        old = _FourComponentKey(key.config_sha256, key.trace_sha256,
+                                key.policy, "reference")
+        registry = RunRegistry(tmp_path / "state" / "registry")
+        registry.store(old, api.run(policy="vmt-ta", config=config),
+                       wall_clock_s=1.0)
+        assert registry.lookup(key) is None
+        instance = Server(tmp_path / "state", port=0, max_workers=1).start()
+        try:
+            first = _submit_and_await(instance, "/v1/runs",
+                                      dict(TINY, backend="reference"))
+            assert first["cached"] is False
+            assert first["registry_key"] == key.digest != old.digest
+            second = _submit_and_await(instance, "/v1/runs", TINY)
+            assert second["cached"] is True
+        finally:
+            instance.stop()
+        assert registry.lookup(key) is not None
+        assert len(registry.entries()) == 2
 
 
 class TestConcurrency:
