@@ -7,7 +7,9 @@ resumed run's ``SimulationResult.fingerprint()`` to be bit-identical to
 the straight-through run's.  On a mismatch
 :func:`repro.state.verify_roundtrip` raises with the first divergent
 metric and tick (the golden harness's first-divergence formatter), and
-the script exits non-zero.
+the script exits non-zero.  Each resumed run must also end with the
+straight run's engine state: events dispatched, clock, and pending
+events.
 
 This is the CI `checkpoint-roundtrip` gate; the same contract is
 exercised per-commit at small scale by ``tests/test_checkpoint.py``.
@@ -56,6 +58,12 @@ def _simulation(cfg, policy: str, **kwargs) -> ClusterSimulation:
                              fault_injector=injector, **kwargs)
 
 
+def _engine_state(sim: ClusterSimulation) -> tuple:
+    """(events dispatched, clock, pending events) of ``sim``'s engine."""
+    engine = sim.engine
+    return (engine.events_dispatched, engine.now, engine.pending_events)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--servers", type=int, default=16)
@@ -70,7 +78,9 @@ def main() -> int:
         for with_faults in (False, True):
             label = f"{policy} ({'faults' if with_faults else 'clean'})"
             cfg = _config(args.servers, args.hours, args.seed, with_faults)
-            straight = _simulation(cfg, policy).run()
+            straight_sim = _simulation(cfg, policy)
+            straight = straight_sim.run()
+            expected = _engine_state(straight_sim)
             with tempfile.TemporaryDirectory() as tmp:
                 sim = _simulation(cfg, policy,
                                   checkpoint_every=args.every,
@@ -86,8 +96,15 @@ def main() -> int:
                          for record in sim.checkpoint_records]
                 try:
                     for record in sim.checkpoint_records:
-                        resumed = restore_simulation(record["file"]).run()
-                        verify_roundtrip(straight, resumed)
+                        resumed = restore_simulation(record["file"])
+                        verify_roundtrip(straight, resumed.run())
+                        got = _engine_state(resumed)
+                        if got != expected:
+                            raise CheckpointError(
+                                f"resumed from tick {record['tick']}, the "
+                                "engine ends at (dispatched, now, "
+                                f"pending) {got}, the straight run at "
+                                f"{expected}")
                 except CheckpointError as exc:
                     failures.append(label)
                     print(f"FAIL {label}: {exc}")
@@ -99,7 +116,8 @@ def main() -> int:
         print(f"{len(failures)} round-trip(s) diverged: "
               + ", ".join(failures))
         return 1
-    print(f"all {2 * len(SCHEDULER_NAMES)} round-trips bit-identical")
+    print(f"all {2 * len(SCHEDULER_NAMES)} round-trips bit-identical, "
+          "with the straight run's engine state")
     return 0
 
 

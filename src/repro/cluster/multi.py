@@ -20,39 +20,9 @@ import numpy as np
 from ..config import SimulationConfig
 from ..errors import ConfigurationError, SimulationError
 from ..obs.telemetry import TelemetryLike, telemetry_directory
-from ..perf.runner import ExperimentRunner, Outcome, RunFailure, RunSpec
-from ..workloads.trace import TraceMatrix
+from ..perf.runner import (ExperimentRunner, RunSpec,
+                           collect_cluster_results)
 from .metrics import SimulationResult
-
-
-def collect_cluster_results(outcomes: Sequence[Outcome], *,
-                            what: str = "cluster"
-                            ) -> List[SimulationResult]:
-    """Unwrap runner outcomes, surfacing failures as a readable error.
-
-    A pool worker that fails twice comes back as a
-    :class:`~repro.perf.runner.RunFailure` row, not a result -- reading
-    ``.cooling_load_w`` off it would die with a bare ``AttributeError``
-    that names nothing.  Instead, raise a :class:`SimulationError`
-    listing every failed index, its policy, and the traceback captured
-    inside the worker.
-    """
-    failures = [(index, outcome) for index, outcome in enumerate(outcomes)
-                if isinstance(outcome, RunFailure)]
-    if failures:
-        lines = []
-        for index, failure in failures:
-            lines.append(
-                f"{what} {index} (policy '{failure.spec.policy}', "
-                f"run '{failure.spec.name}') failed after "
-                f"{failure.attempts} attempt(s) with "
-                f"{failure.error_type}: {failure.message}")
-            if failure.traceback_text:
-                lines.append(failure.traceback_text.rstrip())
-        raise SimulationError(
-            f"{len(failures)} of {len(outcomes)} {what} run(s) failed:\n"
-            + "\n".join(lines))
-    return list(outcomes)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -151,12 +121,6 @@ class MultiClusterSimulation:
                        trace_shift_hours=index * self._stagger_h,
                        record_heatmaps=self._record_heatmaps,
                        telemetry_dir=self._telemetry_dir)
-
-    def _trace_for(self, index: int) -> TraceMatrix:
-        """The (seed-derived, shifted) trace cluster ``index`` runs."""
-        from ..perf.cache import shared_trace
-        return shared_trace(self._config_for(index),
-                            shift_hours=index * self._stagger_h)
 
     def run(self) -> DatacenterResult:
         """Simulate every cluster and aggregate the cooling load.

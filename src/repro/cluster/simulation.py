@@ -4,9 +4,11 @@ One :class:`ClusterSimulation` reproduces the paper's experimental loop:
 every minute (the wax model's update period) the scheduler observes the
 sensed cluster state, places the current demand, and the physical models
 advance one tick; a metrics collector records the series the figures
-need.  :meth:`ClusterSimulation.run` hands the ticks to the planned
-kernel when the run is open-loop and clean, and to the per-tick driver
-otherwise (:mod:`repro.kernel`).
+need.  Batch, restored and live runs all advance through one segment
+loop, :meth:`ClusterSimulation._advance`: each segment ends at a
+checkpoint tick (or at the end of the span), takes the planned kernel
+when the run is open-loop and clean and the per-tick driver otherwise
+(:mod:`repro.kernel`), and the checkpoint is written between segments.
 
 When the configuration carries an enabled
 :class:`~repro.config.FaultConfig` (or a
@@ -163,22 +165,23 @@ class ClusterSimulation:
 
     @property
     def kernel_path(self) -> str:
-        """Which driver the last :meth:`run` or live stream segment used.
+        """Which driver ran the last segment of :meth:`_advance`.
 
         ``planned`` when the planned kernel ran it, ``stepped`` otherwise
-        (including before any run).
+        (including before any tick has run).
         """
         return self._kernel_path
 
     @property
     def plans_stream(self) -> bool:
-        """Whether :meth:`advance_stream` plans ticks instead of firing them.
+        """Whether a live runner may advance once per decision interval.
 
         True for a stream the planned kernel can take between two
         decisions: a clean open-loop run (see
         :func:`repro.kernel.planned.eligible`) that writes no
         checkpoints.  A live snapshot must hold no row past its tick, so
-        a checkpointing stream fires each tick as its row arrives.
+        a checkpointing stream advances once per arrival (each arrival's
+        tick is still planned when the run is open-loop and clean).
         """
         from ..kernel import planned
         return self._checkpoint_every is None and planned.eligible(self)
@@ -271,8 +274,6 @@ class ClusterSimulation:
             self._prev_degraded = True
 
     def _tick(self, now_s: float) -> None:
-        if self._step_index >= self._trace.num_steps:
-            return
         if self._deadline is not None:
             # Cooperative wall-clock budget: raises RunTimeout from inside
             # the tick, unwinding through the driver -- works on any
@@ -349,9 +350,6 @@ class ClusterSimulation:
         self._last_allocation = placement.allocation
         self._notify_observers(demand, placement)
         self._step_index += 1
-        if (self._checkpoint_every is not None
-                and self._step_index % self._checkpoint_every == 0):
-            self._write_checkpoint()
 
     # -- checkpoint/resume ---------------------------------------------------
 
@@ -359,9 +357,10 @@ class ClusterSimulation:
         """Capture the complete run state at the current tick boundary.
 
         Valid between ticks (snapshots taken mid-callback would miss the
-        in-flight tick); the checkpoint path calls it at the end of
-        :meth:`_tick`, where the only live queue entries are
-        reconstructable from configuration.
+        in-flight tick); the checkpoint path calls it between two
+        segments of :meth:`_advance`, after the last tick is counted,
+        where the only live queue entries are reconstructable from
+        configuration.
         """
         # Imported lazily: repro.state sits above the cluster layer.
         from ..obs.ledger import config_sha256, git_describe
@@ -494,10 +493,10 @@ class ClusterSimulation:
     def run(self) -> SimulationResult:
         """Run the full trace and return the collected result.
 
-        A clean open-loop run is planned (:mod:`repro.kernel.planned`);
-        every other run takes the per-tick driver
-        (:mod:`repro.kernel.stepped`), which drains the fault injector's
-        events at tick boundaries.
+        The ticks run through :meth:`_advance`: planned where the run is
+        open-loop and clean (:mod:`repro.kernel.planned`), and otherwise
+        on the per-tick driver (:mod:`repro.kernel.stepped`), which
+        drains the fault injector's events at tick boundaries.
 
         With telemetry attached, the bundle is finished on the way out:
         the trace is flushed, metric columns saved, and the run manifest
@@ -508,12 +507,7 @@ class ClusterSimulation:
         mid-run state came from the snapshot) and the ticks and fault
         events re-align to the next unfinished tick.
         """
-        from ..kernel import planned, stepped
-        result = planned.try_run(self)
-        if result is not None:
-            self._kernel_path = "planned"
-            return result
-        self._kernel_path = "stepped"
+        from ..kernel import stepped
         wall_start = time.perf_counter()
         self._start()
         if self._injector is not None:
@@ -522,11 +516,35 @@ class ClusterSimulation:
                                         next_tick_s=self._next_tick_s)
             else:
                 self._injector.attach(self._engine, self._cluster)
-        stepped.advance(self, self._trace.num_steps)
+        self._advance(self._trace.num_steps)
         stepped.drain(self)
         if self._injector is not None:
             self._injector.detach()
         return self._finish(wall_start)
+
+    def _advance(self, t1: int) -> None:
+        """Run the ticks before ``t1``, in segments that end at each
+        checkpoint tick.
+
+        A segment is planned when :func:`repro.kernel.planned.plannable`
+        holds, and fired tick by tick on the per-tick driver otherwise.
+        A segment that ends on a checkpoint tick writes its snapshot
+        after that tick's dispatch is counted.
+        """
+        from ..kernel import planned, stepped
+        every = self._checkpoint_every
+        while self._step_index < t1:
+            stop = t1
+            if every is not None:
+                stop = min(t1, (self._step_index // every + 1) * every)
+            if planned.plannable(self, stop):
+                planned.advance(self, stop)
+                self._kernel_path = "planned"
+            else:
+                stepped.advance(self, stop)
+                self._kernel_path = "stepped"
+            if every is not None and stop % every == 0:
+                self._write_checkpoint()
 
     def _start(self, **attrs) -> None:
         """The prologue a run and a stream share."""
@@ -593,24 +611,13 @@ class ClusterSimulation:
     def advance_stream(self, step_index: int) -> None:
         """Run every tick up to ``step_index`` (their rows must be fed).
 
-        When :attr:`plans_stream` holds, the planned kernel plans the
-        ticks not yet run, leaving the state the per-tick driver would;
-        otherwise the per-tick driver fires them, at the times the batch
-        run fires them.
+        The ticks run through :meth:`_advance`, as a batch run's do, at
+        the times the batch run fires them.
         """
         if not self._streaming:
             raise SimulationError(
                 "advance_stream requires begin_streaming first")
-        stop = step_index + 1
-        if stop <= self._step_index:
-            return
-        from ..kernel import planned, stepped
-        if self.plans_stream:
-            planned.advance(self, stop)
-            self._kernel_path = "planned"
-        else:
-            stepped.advance(self, stop)
-            self._kernel_path = "stepped"
+        self._advance(step_index + 1)
 
     def finish_streaming(self) -> SimulationResult:
         """End the stream and return the collected result.

@@ -218,6 +218,12 @@ class FaultInjector:
 
     def _fire_server_fault(self, event) -> None:
         spec = event.payload
+        if not self._state.active[spec.server_id]:
+            # Already down: a hazard failure (drawn at run time, so no
+            # config check can rule this out) or an earlier scripted
+            # fault took it.  Nothing more fails; the fault's scripted
+            # repair still fires.
+            return
         self._state.fail_server(spec.server_id, event.time)
         if self._tracer.enabled:
             self._tracer.event("fault-onset", event.time,

@@ -21,18 +21,17 @@ carbon curve.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..checks.sanitizer import resolve_check_level
 from ..cluster.metrics import SimulationResult
-from ..cluster.multi import collect_cluster_results
 from ..config import SimulationConfig
-from ..errors import SimulationError
 from ..obs.telemetry import TelemetryLike, telemetry_directory
 from ..perf.cache import shared_trace
-from ..perf.runner import ExperimentRunner, RunSpec
+from ..perf.runner import (ExperimentRunner, RunSpec, _execute_captured,
+                           collect_cluster_results)
 from ..tco.energy import cooling_energy_account
 from ..thermal.plant import ChillerPlant
 from ..workloads.trace import TraceMatrix
@@ -121,35 +120,14 @@ class FleetSimulation:
         """Simulate every site in-process on its routed trace.
 
         Routed traces cannot ride a :class:`RunSpec` across a process
-        boundary, so this path runs serially -- but through the same
-        captured-execution machinery, so a failing site still surfaces
-        as a readable error naming it, not a bare traceback mid-batch.
+        boundary, so this path runs serially -- but through the runner's
+        captured execution, so a failing site still surfaces as a
+        readable error naming it, not a bare traceback mid-batch.
         """
-        from ..perf.runner import RunFailure
-
-        results: List[SimulationResult] = []
-        failures: List[Tuple[int, RunFailure]] = []
-        for index, config in enumerate(configs):
-            outcome = _execute_site(self._spec_for(index, config),
-                                    plan.traces[index])
-            if isinstance(outcome, RunFailure):
-                failures.append((index, outcome))
-            else:
-                results.append(outcome)
-        if failures:
-            lines = []
-            for index, failure in failures:
-                site = self._spec.sites[index]
-                lines.append(
-                    f"site {index} ({site.name!r}, policy "
-                    f"'{failure.spec.policy}') failed with "
-                    f"{failure.error_type}: {failure.message}")
-                if failure.traceback_text:
-                    lines.append(failure.traceback_text.rstrip())
-            raise SimulationError(
-                f"{len(failures)} of {len(configs)} fleet site run(s) "
-                f"failed:\n" + "\n".join(lines))
-        return results
+        outcomes = [_execute_captured(self._spec_for(index, config),
+                                      plan.traces[index])
+                    for index, config in enumerate(configs)]
+        return collect_cluster_results(outcomes, what="site")
 
     def run(self) -> FleetResult:
         """Simulate the fleet and return the aggregated result."""
@@ -222,30 +200,6 @@ class FleetSimulation:
             battery=dispatch, energy_cost_usd=cost, carbon_kg=carbon,
             net_routed_job_cores=(plan.net_received[index]
                                   if plan else 0))
-
-
-def _execute_site(spec: RunSpec, trace: TraceMatrix):
-    """Run one routed site in-process with its explicit trace."""
-    from ..cluster.simulation import run_simulation
-    from ..core.policies import make_scheduler
-    from ..perf.runner import RunFailure
-
-    import traceback as tb
-    try:
-        scheduler = make_scheduler(spec.policy, spec.config)
-        telemetry = None
-        if spec.telemetry_dir is not None:
-            from ..obs.telemetry import Telemetry
-            telemetry = Telemetry(spec.telemetry_dir)
-            telemetry.bind(spec.name, policy=spec.policy,
-                           capacity=spec.config.trace.num_steps)
-        return run_simulation(spec.config, scheduler, trace=trace,
-                              record_heatmaps=spec.record_heatmaps,
-                              telemetry=telemetry, checks=spec.checks)
-    except BaseException as exc:  # noqa: BLE001 -- captured by design
-        return RunFailure(spec=spec, error_type=type(exc).__name__,
-                          message=str(exc),
-                          traceback_text=tb.format_exc())
 
 
 def run_fleet(spec: FleetSpec, *, max_workers: Optional[int] = 1,

@@ -2,19 +2,23 @@
 
 The model advances one scheduler tick per trace step: placement,
 air-node relaxation, PCM enthalpy integration, estimator update, and
-metrics recording.  :meth:`~repro.cluster.simulation.ClusterSimulation.run`
-(and a live stream, per segment) picks the driver from what the run
-needs; there is nothing to configure:
+metrics recording.  Batch, restored and live runs all advance through
+one segment loop,
+:meth:`~repro.cluster.simulation.ClusterSimulation._advance`: it runs
+ticks in segments that end at each checkpoint tick, picks the driver
+for each segment from what the run needs, and writes the checkpoint
+between segments, after the tick is counted.  There is nothing to
+configure:
 
-* :mod:`.planned` -- batched kernel for every clean open-loop run:
-  VMT-TA at any grouping value and round-robin, whose placement never
-  reads thermal feedback, so any span of ticks whose rows are known is
-  plannable up front -- from tick 0, or from the tick a snapshot
-  restored (checkpoint resumes, MPC shadow simulations); a
-  checkpointing run in segments that end at each checkpoint tick; and
-  a live run one decision interval at a time
-  (:meth:`~repro.cluster.simulation.ClusterSimulation.advance_stream`);
-* :mod:`.stepped` -- every other run: the per-tick chain
+* :mod:`.planned` -- batched kernel for every clean open-loop segment
+  (:func:`.planned.plannable`): VMT-TA at any grouping value and
+  round-robin, whose placement never reads thermal feedback, so any
+  span of ticks whose rows are known is plannable up front -- from
+  tick 0, or from the tick a snapshot restored (checkpoint resumes, MPC
+  shadow simulations); a checkpointing run between two writes; a live
+  run one decision interval at a time, or one arrival at a time when
+  it writes checkpoints;
+* :mod:`.stepped` -- every other segment: the per-tick chain
   (``Scheduler.place`` -> ``Cluster.step`` -> ``MetricsCollector.record``)
   called once per tick, all policies, faults, telemetry, sanitizer,
   observers and live rows included.  Fault events are the only events

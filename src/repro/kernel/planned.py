@@ -49,10 +49,12 @@ leaves exactly the state the per-tick driver leaves after firing tick
 map, a retargeted grouping value), the physics recurrences start from
 the current air, wax and estimator state, the metrics clock continues
 from the cluster time, and the new rows append after the recorded ones.
-So a run restored from a snapshot is planned over its remaining ticks,
-a checkpointing run is planned in segments with each snapshot written
-between two of them, and a live run plans the ticks between two
-decisions once their rows have arrived.
+:meth:`~repro.cluster.simulation.ClusterSimulation._advance` calls it
+for every segment that :func:`plannable` accepts, so a run restored
+from a snapshot is planned over its remaining ticks, a checkpointing
+run is planned in segments with each snapshot written between two of
+them, and a live run plans the ticks between two decisions (or, when it
+writes checkpoints, each arrival's tick) once their rows have arrived.
 
 What stays python: the planning loop (per tick, one shuffle per placing
 pass and one bincount for VMT-TA; the scheduler's ``place`` for
@@ -94,10 +96,8 @@ def eligible(sim) -> bool:
     provably equivalent: a clean open-loop run (VMT-TA at any grouping
     value, or round-robin) -- no faults, no sanitizer, no telemetry or
     observers, no ambient profile, a non-degenerate PCM -- whose
-    recorded metrics rows match its tick.  Batch runs (:func:`try_run`)
-    and live segments
-    (:meth:`~repro.cluster.simulation.ClusterSimulation.advance_stream`)
-    share this predicate.
+    recorded metrics rows match its tick.  :func:`plannable` adds the
+    per-span capacity check.
     """
     if type(sim._scheduler) not in (VMTThermalAwareScheduler,
                                     RoundRobinScheduler):
@@ -118,53 +118,19 @@ def eligible(sim) -> bool:
             and config.thermal.ha_w_per_k != 0)
 
 
-def try_run(sim) -> Optional["SimulationResult"]:
-    """Run ``sim`` through the planned kernel, or return ``None``.
+def plannable(sim, t1: int) -> bool:
+    """Whether ticks ``[t0, t1)`` of ``sim`` can be planned.
 
-    The run must be :func:`eligible`, on a batch trace (a live buffer's
-    rows past the ingested ones must not be read, so ``run()`` on one
-    steps and raises), fresh or restored at a tick boundary with ticks
-    left to run, and with no remaining tick demanding more cores than
-    the cluster has (the reference scheduler raises there).  A restored
-    run is planned from its restored tick onward.  A checkpointing run
-    is planned in segments that end at each checkpoint tick, and writes
-    each snapshot between two segments.
+    ``sim`` must be :func:`eligible`, and no row of the span may demand
+    more cores than the cluster has (the reference scheduler raises
+    there, so the per-tick driver takes the span and raises at that
+    tick).  Rows a live buffer has not received read as zero here; the
+    segment then raises from :func:`advance` before any state changes.
     """
-    t0 = sim._step_index
-    fresh = t0 == 0 and sim._engine.events_dispatched == 0
-    if (getattr(sim._trace, "is_live", False)
-            or not (fresh or sim._restored)
-            or not eligible(sim)):
-        return None
-    counts = sim._trace._counts[t0:]
-    if (counts.shape[0] == 0
-            or int(counts.sum(axis=1).max()) > sim._config.total_cores):
-        return None
-    # A fresh per-tick run resets the scheduler before the first tick;
-    # a restored one continues from the snapshot's scheduler state.
-    if not sim._restored:
-        sim._scheduler.reset()
-    total = sim._trace.num_steps
-    engine = sim._engine
-    every = sim._checkpoint_every
-    if every is None:
-        advance(sim, total)
-    else:
-        while sim._step_index < total:
-            stop = min(total, (sim._step_index // every + 1) * every)
-            advance(sim, stop)
-            if stop % every == 0:
-                # The per-tick driver writes from inside the tick, before
-                # it counts that tick's dispatch.
-                engine._dispatched -= 1
-                sim._write_checkpoint()
-                engine._dispatched += 1
-    engine._now = max(engine._now,
-                      total * sim._trace.step_seconds - 1e-9)
-    prof = sim._profiler
-    profile = prof.snapshot() if prof is not None else None
-    return sim._metrics.finish(sim._config, sim._scheduler.name,
-                               profile=profile)
+    if not eligible(sim):
+        return False
+    counts = sim._trace._counts[sim._step_index:t1]
+    return int(counts.sum(axis=1).max()) <= sim._config.total_cores
 
 
 def _fitted_slice(rows: np.ndarray, capacity: int) -> np.ndarray:
@@ -370,8 +336,7 @@ def advance(sim, t1: int) -> None:
     at ``(t1 - 1) * dt``; and the dispatch counter, up by ``t1 - t0``.
     The per-tick driver would fire the next tick at ``t1 * dt``.
     It never resets the scheduler, so a retargeted grouping value
-    stays.  The caller checks :func:`eligible`, ``t0 < t1``, and that
-    every row fits the cluster.
+    stays.  The caller checks :func:`plannable` and ``t0 < t1``.
     """
     # The segment's last row, read through the trace's own guard.
     sim._trace.demand_at(t1 - 1)

@@ -1,4 +1,4 @@
-"""The per-tick driver: every run the planned kernel does not take.
+"""The per-tick driver: every segment the planned kernel does not take.
 
 One scheduler tick per trace step, each a direct call of
 ``ClusterSimulation._tick`` -- the per-tick chain ``Scheduler.place`` ->
@@ -7,8 +7,9 @@ a periodic process would fire it: ``now += step_seconds`` accumulated
 in float from the run's start (``k * step_seconds`` on a run restored at
 tick ``k``, or after a planned segment that ended there).  The driver
 keeps the engine's clock and dispatch counter by hand, one dispatch per
-tick, so checkpoints, snapshots, and post-run state read the same on
-every path.
+tick, as the planned kernel does, so the snapshots
+``ClusterSimulation._advance`` writes between segments, and post-run
+state, read the same on every path.
 
 Fault events are the only events on the engine.  When a fault injector
 is attached, the driver runs the engine up to each tick's time before

@@ -11,15 +11,18 @@ through its streaming entry points, one arrival at a time:
    the forecaster's GV estimate, or via the
    :class:`~repro.live.mpc.MPCController`'s shadow-simulation race;
 4. :meth:`~repro.cluster.simulation.ClusterSimulation.advance_stream`
-   runs the ticks whose rows have arrived, at the same simulation times
-   the offline batch run uses.  Between two decisions a VMT-TA or
-   round-robin run is open-loop, so when the simulation
+   runs the ticks whose rows have arrived, through the same segment
+   loop and at the same simulation times as the offline batch run.
+   Between two decisions a VMT-TA or round-robin run is open-loop, so
+   when the simulation
    :attr:`~repro.cluster.simulation.ClusterSimulation.plans_stream`,
    the runner advances once before each decision and once after the
    feed ends, and the planned kernel plans each decision interval as
-   one segment.  Any other run (closed-loop policies, telemetry, the
-   sanitizer, observers, ambient profiles, checkpoints) advances one
-   tick per arrival on the per-tick driver.
+   one segment.  Every other run advances once per arrival: a
+   checkpointing VMT-TA or round-robin run plans each arrival's tick
+   (a live snapshot must hold no row past its tick), and closed-loop
+   policies, telemetry, the sanitizer, observers and ambient profiles
+   fire it on the per-tick driver.
 
 Step 4's exact tick times are what make the oracle differential test
 possible: with a perfect forecaster every decision is a no-op, so the

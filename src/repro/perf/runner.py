@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Union
 from ..cluster.metrics import SimulationResult
 from ..config import SimulationConfig
 from ..errors import SimulationError
+from ..workloads.trace import TraceMatrix
 from .cache import shared_trace
 from .profiler import TickProfiler
 
@@ -121,6 +122,35 @@ class RunFailure:
 Outcome = Union[SimulationResult, RunFailure]
 
 
+def collect_cluster_results(outcomes: Sequence[Outcome], *,
+                            what: str = "cluster"
+                            ) -> List[SimulationResult]:
+    """Unwrap runner outcomes, surfacing failures as a readable error.
+
+    A job that fails (in a pool worker, even twice) comes back as a
+    :class:`RunFailure` row, not a result -- reading ``.cooling_load_w``
+    off it would die with a bare ``AttributeError`` that names nothing.
+    Instead, raise a :class:`SimulationError` listing every failed
+    index, its policy, and the traceback captured with the failure.
+    """
+    failures = [(index, outcome) for index, outcome in enumerate(outcomes)
+                if isinstance(outcome, RunFailure)]
+    if failures:
+        lines = []
+        for index, failure in failures:
+            lines.append(
+                f"{what} {index} (policy '{failure.spec.policy}', "
+                f"run '{failure.spec.name}') failed after "
+                f"{failure.attempts} attempt(s) with "
+                f"{failure.error_type}: {failure.message}")
+            if failure.traceback_text:
+                lines.append(failure.traceback_text.rstrip())
+        raise SimulationError(
+            f"{len(failures)} of {len(outcomes)} {what} run(s) failed:\n"
+            + "\n".join(lines))
+    return list(outcomes)  # type: ignore[arg-type]
+
+
 class RunTimeout(SimulationError):
     """A run exceeded its :attr:`RunSpec.timeout_s` wall-clock budget."""
 
@@ -192,12 +222,15 @@ def _maybe_die_for_test(spec: RunSpec) -> None:
         os.kill(os.getpid(), 9)
 
 
-def execute_spec(spec: RunSpec) -> SimulationResult:
+def execute_spec(spec: RunSpec,
+                 trace: Optional[TraceMatrix] = None) -> SimulationResult:
     """Run one spec to completion in the current process.
 
     This is the single execution path for serial *and* parallel runs --
     workers import and call exactly this function -- which is what makes
-    worker-count-independence trivially true.
+    worker-count-independence trivially true.  An explicit ``trace``
+    (a routed fleet site's, which no spec can carry across a process
+    boundary) replaces the trace cache.
     """
     # Imported here (not at module top) to keep the import graph acyclic:
     # the cluster layer must not depend on the perf layer at import time.
@@ -212,11 +245,10 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
         from ..obs.telemetry import sanitize_run_id
         spec_checkpoint_dir = os.path.join(spec.checkpoint_dir,
                                            sanitize_run_id(spec.name))
-    trace = None
-    if spec.use_trace_cache:
+    if trace is None and spec.use_trace_cache:
         trace = shared_trace(spec.config,
                              shift_hours=spec.trace_shift_hours)
-    elif spec.trace_shift_hours:
+    elif trace is None and spec.trace_shift_hours:
         # Cache bypass still honors the stagger: same generation path,
         # just without memoization.
         from ..sim.rng import RngStreams
@@ -287,11 +319,15 @@ def _compatible_checkpoint(spec: RunSpec, directory: str):
     return None
 
 
-def _execute_captured(spec: RunSpec) -> Outcome:
+def _execute_captured(spec: RunSpec,
+                      trace: Optional[TraceMatrix] = None) -> Outcome:
     """Worker entry point: never lets an exception escape the job."""
     _maybe_die_for_test(spec)
     try:
-        return execute_spec(spec)
+        if trace is None:
+            # The spec alone: a stand-in for execute_spec may take no more.
+            return execute_spec(spec)
+        return execute_spec(spec, trace)
     except BaseException as exc:  # noqa: BLE001 -- capture by design
         return RunFailure(spec=spec, error_type=type(exc).__name__,
                           message=str(exc),

@@ -318,6 +318,36 @@ def test_ledger_records_checkpoint_lineage(tmp_path):
         assert len(entry["sha256"]) == 64
 
 
+def test_resumed_telemetry_run_keeps_the_dispatch_count(tmp_path):
+    """A snapshot is written after its tick's dispatch is counted, so a
+    faulted telemetry run resumed from one ends with the straight run's
+    engine state, and records the same dispatch column over the resumed
+    ticks."""
+    from repro.obs.telemetry import Telemetry
+    cfg = dataclasses.replace(
+        _config(num_servers=12, hours=4.0),
+        faults=kill_servers([3], 1.0, repair_after_hours=1.0))
+    straight_telemetry = Telemetry(str(tmp_path / "straight"), "run")
+    straight = ClusterSimulation(cfg, make_scheduler("vmt-wa", cfg),
+                                 telemetry=straight_telemetry,
+                                 checkpoint_every=120,
+                                 checkpoint_dir=str(tmp_path / "ckpt"))
+    expected = straight.run()
+    resumed_telemetry = Telemetry(str(tmp_path / "resumed"), "run")
+    resumed = restore_simulation(
+        checkpoint_path(str(tmp_path / "ckpt"), 120),
+        telemetry=resumed_telemetry)
+    assert resumed.run().fingerprint() == expected.fingerprint()
+    assert (resumed.engine.events_dispatched
+            == straight.engine.events_dispatched)
+    assert resumed.engine.now == straight.engine.now
+    assert resumed.engine.pending_events == straight.engine.pending_events
+    column = "engine.events_dispatched"
+    with np.load(straight_telemetry.metrics_path) as full, \
+            np.load(resumed_telemetry.metrics_path) as tail:
+        np.testing.assert_array_equal(tail[column], full[column][120:])
+
+
 # -- api facade -----------------------------------------------------------
 
 def test_api_run_checkpoint_and_resume(tmp_path):

@@ -295,6 +295,46 @@ class TestHazardFailures:
 
         assert failures() == failures()
 
+    def test_scripted_fault_on_a_server_a_hazard_took_down(
+            self, small_config):
+        """Hazard failures are drawn at run time, so no config check can
+        keep a scripted fault off a server a hazard already took down.
+        That fault fails nothing more, and its scripted repair fires."""
+        hazard = temperature_hazard(5_000.0, repair_time_hours=1.0)
+        config = _faulted(small_config, hazard)
+        sim = ClusterSimulation(config,
+                                make_scheduler("round-robin", config))
+        first_down = []
+
+        def watch(time_s, demand, placement, cluster):
+            down = np.flatnonzero(~sim.fault_injector.state.active)
+            if down.size and not first_down:
+                first_down.append((time_s, int(down[0])))
+
+        sim.add_observer(watch)
+        hazard_only = sim.run()
+        failures = sim.fault_injector.state.failures
+        # The first tick that saw the server down ends at end_s; its
+        # hazard repair comes an hour after the failure.
+        end_s, server = first_down[0]
+        tick = int(end_s // config.trace.step_seconds) - 1
+
+        def with_scripted_fault(repair_after_s):
+            spec = ServerFaultSpec(time_s=end_s - 30.5, server_id=server,
+                                   repair_after_s=repair_after_s)
+            faulted = _faulted(small_config, dataclasses.replace(
+                hazard, server_faults=(spec,)))
+            sim = ClusterSimulation(faulted,
+                                    make_scheduler("round-robin", faulted))
+            return sim.run(), sim.fault_injector.state
+
+        unrepaired, state = with_scripted_fault(None)
+        assert unrepaired.fingerprint() == hazard_only.fingerprint()
+        assert state.failures == failures
+        repaired, _ = with_scripted_fault(60.0)
+        assert hazard_only.availability[tick + 2] < 1.0
+        assert repaired.availability[tick + 2] == 1.0
+
     def test_zero_acceleration_never_fails(self, small_config):
         config = _faulted(small_config, temperature_hazard(0.0))
         sim = ClusterSimulation(config,

@@ -289,21 +289,16 @@ class TestHeterogeneousFleet:
     def test_routed_site_failure_names_the_site(self, monkeypatch):
         # The routed (in-process) path must surface a failing site as a
         # readable SimulationError, mirroring the unrouted bugfix.
-        from repro.fleet import run as fleet_run_module
-        from repro.perf.runner import RunFailure
+        from repro.perf import runner as runner_module
 
-        real_execute = fleet_run_module._execute_site
+        real_execute = runner_module.execute_spec
 
-        def failing(spec, trace):
+        def failing(spec, trace=None):
             if "broken" in spec.name:
-                return RunFailure(
-                    spec=spec, error_type="ValueError",
-                    message="injected site failure",
-                    traceback_text="Traceback (most recent call last):"
-                                   "\n  injected")
+                raise ValueError("injected site failure")
             return real_execute(spec, trace)
 
-        monkeypatch.setattr(fleet_run_module, "_execute_site", failing)
+        monkeypatch.setattr(runner_module, "execute_spec", failing)
         spec = FleetSpec(
             sites=(SiteSpec(name="good"), SiteSpec(name="broken")),
             base_config=tiny_config(), policy="latency-spill")
