@@ -1,20 +1,22 @@
-"""CI guard: kernel changes must come with a re-measured BENCH_perf.json.
+"""CI guard: each BENCH_perf.json section is re-measured after what it times.
 
-The fast-path kernels exist for one number — the measured speedup in
-``BENCH_perf.json`` — so a commit that touches the tick engines while
-leaving the benchmark record untouched is either unmeasured or quoting
-stale numbers.  This script fails (exit 1) when the last commit
-touching the watched performance-critical paths is *newer* than the
-last commit touching ``BENCH_perf.json``; "newer" is ancestry, not
-timestamps, so rebases and merges behave.
+Every section of ``BENCH_perf.json`` is written by one script and times
+a set of paths (:data:`SECTIONS`).  This script fails (exit 1) when the
+last commit touching a section's paths is *newer* than the last commit
+that changed that section's value; "newer" is ancestry, not timestamps,
+so rebases and merges behave.  A commit that rewrites the file without
+re-measuring a section leaves that section's value, and so its age,
+where it was.
 
-Working-tree state is checked too: locally, uncommitted kernel edits
-without an uncommitted ``BENCH_perf.json`` fail the same way.
+Working-tree state is checked too: locally, uncommitted edits under a
+section's paths fail unless that section's value has uncommitted
+changes as well.
 
 The check is deliberately tolerant of missing git history (shallow
 clones, tarball checkouts): anything that prevents answering the
 question exits 0 with a note, because a freshness guard that breaks CI
-for infrastructure reasons gets deleted, not fixed.
+for infrastructure reasons gets deleted, not fixed.  A commit whose
+parent is missing counts as having changed every section it holds.
 
 Run::
 
@@ -24,48 +26,140 @@ Run::
 from __future__ import annotations
 
 import argparse
+import json
 import subprocess
-import sys
 
-#: Paths whose changes invalidate the benchmark record.
-WATCHED = (
+BENCH = "BENCH_perf.json"
+
+#: What every section's runs go through: the tick drivers, the segment
+#: loop, the metrics collector and the runner.
+KERNEL = (
     "src/repro/kernel",
     "src/repro/perf",
     "src/repro/cluster/simulation.py",
     "src/repro/cluster/metrics.py",
-    # BENCH "live" times the MPC racer's shadow runs on the kernels,
-    # and the live loop that plans its segments on them.
-    "src/repro/live/mpc.py",
-    "src/repro/live/runner.py",
-    "benchmarks/bench_perf_scaling.py",
 )
 
-BENCH = "BENCH_perf.json"
+_SCALING = "benchmarks/bench_perf_scaling.py"
 
-#: How to regenerate the record the watched paths feed.
-RERUN = ("Run: PYTHONPATH=src python benchmarks/bench_perf_scaling.py"
-         " && PYTHONPATH=src python benchmarks/bench_sanitizer_overhead.py"
-         " && PYTHONPATH=src python benchmarks/bench_live_gap.py")
+#: section -> (the script that writes it, the paths it times).
+SECTIONS = {
+    "tick_rate": (_SCALING, KERNEL + (_SCALING,)),
+    "sweep_points": (_SCALING, KERNEL + (_SCALING,)),
+    "sweep": (_SCALING, KERNEL + (_SCALING,)),
+    "paper_scale": (_SCALING, KERNEL + (_SCALING,)),
+    "sanitizer_overhead": (
+        "benchmarks/bench_sanitizer_overhead.py",
+        KERNEL + ("src/repro/checks",
+                  "benchmarks/bench_sanitizer_overhead.py")),
+    "checkpoint": (
+        "benchmarks/bench_checkpoint.py",
+        KERNEL + ("src/repro/state", "benchmarks/bench_checkpoint.py")),
+    # The MPC racer's shadow runs and the live loop that drives them.
+    "live": (
+        "benchmarks/bench_live_gap.py",
+        KERNEL + ("src/repro/live/mpc.py", "src/repro/live/runner.py",
+                  "benchmarks/bench_live_gap.py")),
+    "fleet": (
+        "benchmarks/bench_fleet.py",
+        KERNEL + ("src/repro/fleet", "src/repro/cluster/multi.py",
+                  "benchmarks/bench_fleet.py")),
+}
+
+
+class GitError(RuntimeError):
+    """A git query this check needs failed."""
 
 
 def _git(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *argv], capture_output=True, text=True)
 
 
+def _out(*argv: str) -> str:
+    proc = _git(*argv)
+    if proc.returncode != 0:
+        raise GitError(proc.stderr.strip())
+    return proc.stdout
+
+
 def last_commit(paths) -> str:
     """Hash of the newest commit touching ``paths`` ('' when none)."""
-    proc = _git("log", "-1", "--format=%H", "--", *paths)
-    if proc.returncode != 0:
-        raise RuntimeError(proc.stderr.strip())
-    return proc.stdout.strip()
+    return _out("log", "-1", "--format=%H", "--", *paths).strip()
 
 
 def dirty(paths) -> list:
-    """Watched paths with uncommitted (staged or not) modifications."""
-    proc = _git("status", "--porcelain", "--", *paths)
-    if proc.returncode != 0:
-        raise RuntimeError(proc.stderr.strip())
-    return [line[3:] for line in proc.stdout.splitlines() if line.strip()]
+    """Paths with uncommitted (staged or not) modifications."""
+    return [line[3:] for line in
+            _out("status", "--porcelain", "--", *paths).splitlines()
+            if line.strip()]
+
+
+def _sections_at(rev: str):
+    """The parsed record at ``rev`` (the working tree when ''), or None
+    when it is missing or unreadable there."""
+    if rev:
+        proc = _git("show", f"{rev}:{BENCH}")
+        if proc.returncode != 0:
+            return None
+        text = proc.stdout
+    else:
+        try:
+            with open(BENCH) as handle:
+                text = handle.read()
+        except OSError:
+            return None
+    try:
+        record = json.loads(text)
+    except ValueError:
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def section_commits() -> dict:
+    """section -> hash of the newest commit that changed its value."""
+    found = {}
+    for commit in _out("log", "--format=%H", "--", BENCH).split():
+        after = _sections_at(commit) or {}
+        before = _sections_at(f"{commit}^") or {}
+        for name in SECTIONS:
+            if (name not in found and name in after
+                    and after[name] != before.get(name)):
+                found[name] = commit
+        if len(found) == len(SECTIONS):
+            break
+    return found
+
+
+def stale_sections() -> list:
+    """(section, reason) for every section its paths outdate."""
+    changed = section_commits()
+    head = _sections_at("HEAD") or {}
+    tree = _sections_at("") or {}
+    stale = []
+    for name, (_, paths) in SECTIONS.items():
+        if name in tree and tree.get(name) != head.get(name):
+            continue  # re-measured in the working tree
+        edits = dirty(paths)
+        if edits:
+            stale.append((name, "uncommitted changes to "
+                          f"{', '.join(sorted(edits)[:3])}"))
+            continue
+        path_commit = last_commit(paths)
+        if not path_commit:
+            continue
+        bench_commit = changed.get(name)
+        if bench_commit is None:
+            stale.append((name, f"never recorded in {BENCH}"))
+            continue
+        ancestry = _git("merge-base", "--is-ancestor", path_commit,
+                        bench_commit)
+        if ancestry.returncode == 1:
+            stale.append((name, f"its paths changed in {path_commit[:12]},"
+                          f" after its last re-measure in "
+                          f"{bench_commit[:12]}"))
+        elif ancestry.returncode != 0:
+            raise GitError(ancestry.stderr.strip())
+    return stale
 
 
 def main() -> int:
@@ -76,46 +170,20 @@ def main() -> int:
         print("not a git checkout; skipping freshness check")
         return 0
     try:
-        kernel_commit = last_commit(WATCHED)
-        bench_commit = last_commit([BENCH])
-        dirty_kernel = dirty(WATCHED)
-        dirty_bench = dirty([BENCH])
-    except RuntimeError as exc:
+        stale = stale_sections()
+    except GitError as exc:
         print(f"git history unavailable ({exc}); skipping freshness check")
         return 0
-
-    if not kernel_commit:
-        print("no commits touch the watched perf paths; nothing to check")
+    if not stale:
+        print(f"fresh: every {BENCH} section covers the last change to "
+              "the paths it times")
         return 0
-
-    if dirty_kernel and not dirty_bench:
-        print("STALE: uncommitted changes under the perf-critical paths "
-              f"({', '.join(sorted(dirty_kernel)[:5])}) without a "
-              f"regenerated {BENCH}.")
-        print(RERUN)
-        return 1
-
-    if not bench_commit:
-        print(f"STALE: the watched perf paths are committed but {BENCH} "
-              "never was.")
-        return 1
-
-    # Fresh iff the newest kernel-touching commit is an ancestor of (or
-    # equal to) the newest bench-touching commit.
-    ancestry = _git("merge-base", "--is-ancestor",
-                    kernel_commit, bench_commit)
-    if ancestry.returncode == 0:
-        print(f"fresh: {BENCH} ({bench_commit[:12]}) covers the last "
-              f"perf-path change ({kernel_commit[:12]})")
-        return 0
-    if ancestry.returncode == 1:
-        print(f"STALE: perf paths changed in {kernel_commit[:12]} after "
-              f"{BENCH} was last regenerated in {bench_commit[:12]}.")
-        print(RERUN)
-        return 1
-    print("git ancestry query failed "
-          f"({ancestry.stderr.strip()}); skipping freshness check")
-    return 0
+    for name, reason in stale:
+        print(f"STALE: {BENCH} section {name!r}: {reason}.")
+    scripts = sorted({SECTIONS[name][0] for name, _ in stale})
+    print("Run: " + " && ".join(f"PYTHONPATH=src python {script}"
+                                for script in scripts))
+    return 1
 
 
 if __name__ == "__main__":

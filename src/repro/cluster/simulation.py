@@ -172,20 +172,6 @@ class ClusterSimulation:
         """
         return self._kernel_path
 
-    @property
-    def plans_stream(self) -> bool:
-        """Whether a live runner may advance once per decision interval.
-
-        True for a stream the planned kernel can take between two
-        decisions: a clean open-loop run (see
-        :func:`repro.kernel.planned.eligible`) that writes no
-        checkpoints.  A live snapshot must hold no row past its tick, so
-        a checkpointing stream advances once per arrival (each arrival's
-        tick is still planned when the run is open-loop and clean).
-        """
-        from ..kernel import planned
-        return self._checkpoint_every is None and planned.eligible(self)
-
     def add_observer(self, observer: Observer) -> None:
         """Register a per-tick observer (see class docstring)."""
         self._observers.append(observer)
@@ -306,33 +292,21 @@ class ClusterSimulation:
         self._cluster.step(placement.allocation,
                            self._trace.step_seconds)
         mark = time.perf_counter() if prof is not None else 0.0
-        if self._fault_state is None:
-            self._metrics.record(
-                self._cluster.time_s,
-                air_temp_c=self._cluster.air_temp_c_view,
-                melt_fraction=self._cluster.wax_melt_fraction_view,
-                power_w=self._cluster.power_w_view,
-                wax_absorption_w=self._cluster.wax_absorption_w_view,
-                jobs=int(demand.sum()),
-                hot_mask=placement.hot_group_mask,
-                max_cpu_temp_c=float(
-                    self._cluster.cpu_junction_temp_c.max()),
-            )
-        else:
-            self._metrics.record(
-                self._cluster.time_s,
-                air_temp_c=self._cluster.air_temp_c_view,
-                melt_fraction=self._cluster.wax_melt_fraction_view,
-                power_w=self._cluster.power_w_view,
-                wax_absorption_w=self._cluster.wax_absorption_w_view,
-                jobs=int(demand.sum()),
-                hot_mask=placement.hot_group_mask,
-                max_cpu_temp_c=float(
-                    self._cluster.cpu_junction_temp_c.max()),
-                availability=self._fault_state.availability,
-                displaced_jobs=displaced,
-                cooling_capacity_factor=self._fault_state.cooling_factor,
-            )
+        faults = self._fault_state
+        self._metrics.record(
+            self._cluster.time_s,
+            air_temp_c=self._cluster.air_temp_c_view,
+            melt_fraction=self._cluster.wax_melt_fraction_view,
+            power_w=self._cluster.power_w_view,
+            wax_absorption_w=self._cluster.wax_absorption_w_view,
+            jobs=int(demand.sum()),
+            hot_mask=placement.hot_group_mask,
+            max_cpu_temp_c=float(self._cluster.cpu_junction_temp_c.max()),
+            availability=1.0 if faults is None else faults.availability,
+            displaced_jobs=displaced,
+            cooling_capacity_factor=(1.0 if faults is None
+                                     else faults.cooling_factor),
+        )
         if prof is not None:
             prof.add("metrics", time.perf_counter() - mark)
             prof.count_tick()
@@ -526,12 +500,18 @@ class ClusterSimulation:
         """Run the ticks before ``t1``, in segments that end at each
         checkpoint tick.
 
-        A segment is planned when :func:`repro.kernel.planned.plannable`
+        The span's last row is read first, through the trace's own
+        guard, so a span past a live buffer's arrival frontier raises
+        :class:`~repro.errors.TraceError` before any state changes.  A
+        segment is planned when :func:`repro.kernel.planned.plannable`
         holds, and fired tick by tick on the per-tick driver otherwise.
         A segment that ends on a checkpoint tick writes its snapshot
         after that tick's dispatch is counted.
         """
         from ..kernel import planned, stepped
+        if self._step_index >= t1:
+            return
+        self._trace.demand_at(t1 - 1)
         every = self._checkpoint_every
         while self._step_index < t1:
             stop = t1
@@ -587,13 +567,12 @@ class ClusterSimulation:
 
         The streaming spelling of :meth:`run`'s prologue: the caller (a
         :class:`~repro.live.LiveRunner`) feeds demand rows into the live
-        trace buffer and calls :meth:`advance_stream` once the rows of
-        the ticks it advances over have arrived -- once per arrival, or,
-        when :attr:`plans_stream` holds, once per decision interval -- so
-        the simulation only ever advances over demand that has actually
-        been observed.  Ticks run at exactly the same simulation times
-        as a batch run, which is what keeps a live run with a perfect
-        forecaster bit-identical to the offline batch fingerprint.
+        trace buffer and calls :meth:`advance_stream` at each decision
+        and checkpoint tick and once the feed ends, so the simulation
+        only ever advances over demand that has actually been observed.
+        Ticks run at exactly the same simulation times as a batch run,
+        which is what keeps a live run with a perfect forecaster
+        bit-identical to the offline batch fingerprint.
 
         Fault injection is not supported live yet: scripted fault events
         are scheduled against the full run span up front, which would be

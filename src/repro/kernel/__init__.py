@@ -16,8 +16,7 @@ configure:
   span of ticks whose rows are known is plannable up front -- from
   tick 0, or from the tick a snapshot restored (checkpoint resumes, MPC
   shadow simulations); a checkpointing run between two writes; a live
-  run one decision interval at a time, or one arrival at a time when
-  it writes checkpoints;
+  run one decision or checkpoint interval at a time;
 * :mod:`.stepped` -- every other segment: the per-tick chain
   (``Scheduler.place`` -> ``Cluster.step`` -> ``MetricsCollector.record``)
   called once per tick, all policies, faults, telemetry, sanitizer,

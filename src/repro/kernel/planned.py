@@ -53,8 +53,8 @@ from the cluster time, and the new rows append after the recorded ones.
 for every segment that :func:`plannable` accepts, so a run restored
 from a snapshot is planned over its remaining ticks, a checkpointing
 run is planned in segments with each snapshot written between two of
-them, and a live run plans the ticks between two decisions (or, when it
-writes checkpoints, each arrival's tick) once their rows have arrived.
+them, and a live run plans each decision or checkpoint interval once
+its rows have arrived.
 
 What stays python: the planning loop (per tick, one shuffle per placing
 pass and one bincount for VMT-TA; the scheduler's ``place`` for
@@ -124,8 +124,7 @@ def plannable(sim, t1: int) -> bool:
     ``sim`` must be :func:`eligible`, and no row of the span may demand
     more cores than the cluster has (the reference scheduler raises
     there, so the per-tick driver takes the span and raises at that
-    tick).  Rows a live buffer has not received read as zero here; the
-    segment then raises from :func:`advance` before any state changes.
+    tick).
     """
     if not eligible(sim):
         return False
@@ -327,19 +326,17 @@ def _plan_round_robin(sched: RoundRobinScheduler, counts: np.ndarray,
 def advance(sim, t1: int) -> None:
     """Plan ticks ``[t0, t1)`` of ``sim``, where ``t0`` is its next tick.
 
-    Reads only rows ``[t0, t1)`` of the trace: on a live buffer a row
-    that has not arrived raises :class:`~repro.errors.TraceError`, as
-    ``demand_at`` does, before any state changes.  Afterwards ``sim``
+    Reads only rows ``[t0, t1)`` of the trace.  Afterwards ``sim``
     holds exactly the state the per-tick driver leaves after firing tick
     ``t1 - 1``: the metrics rows; the scheduler's tick, RNG and job map;
     the cluster arrays and clock; ``_last_allocation``; the engine clock
     at ``(t1 - 1) * dt``; and the dispatch counter, up by ``t1 - t0``.
     The per-tick driver would fire the next tick at ``t1 * dt``.
     It never resets the scheduler, so a retargeted grouping value
-    stays.  The caller checks :func:`plannable` and ``t0 < t1``.
+    stays.  The caller checks :func:`plannable`, ``t0 < t1``, and that
+    the rows have arrived
+    (:meth:`~repro.cluster.simulation.ClusterSimulation._advance`).
     """
-    # The segment's last row, read through the trace's own guard.
-    sim._trace.demand_at(t1 - 1)
     prof = sim._profiler
     clock = time.perf_counter
     setup_start = clock()

@@ -33,9 +33,8 @@ from __future__ import annotations
 def advance(sim, t1: int) -> None:
     """Fire ticks ``[t0, t1)`` of ``sim``, where ``t0`` is its next tick.
 
-    A tick whose row has not arrived in a live buffer raises
-    :class:`~repro.errors.TraceError` from ``demand_at``, leaving the
-    ticks before it run.
+    The caller checks that the rows have arrived
+    (:meth:`~repro.cluster.simulation.ClusterSimulation._advance`).
     """
     engine = sim._engine
     cluster = sim._cluster

@@ -1,30 +1,29 @@
 """The live run loop: feed -> buffer -> decision -> tick.
 
 One :class:`LiveRunner` drives a :class:`~repro.cluster.simulation.ClusterSimulation`
-through its streaming entry points, one arrival at a time:
+through its streaming entry points, one arrival at a time.  For row ``k``:
 
-1. the next demand row is taken from the feed and appended to the
+1. at a decision or checkpoint tick,
+   :meth:`~repro.cluster.simulation.ClusterSimulation.advance_stream`
+   runs every tick before ``k`` through the batch run's segment loop,
+   at the batch run's simulation times, so a checkpoint at ``k`` holds
+   exactly the ``k`` rows its ticks read;
+2. row ``k`` is taken from the feed and appended to the
    :class:`~repro.live.buffer.LiveTraceBuffer` (after this, and only
-   after this, may the engine advance into that interval);
-2. the forecaster observes the row;
-3. on decision boundaries the scheduler is retargeted -- directly from
+   after this, may the simulation advance into that interval);
+3. the forecaster observes the row;
+4. on decision boundaries the scheduler is retargeted -- directly from
    the forecaster's GV estimate, or via the
-   :class:`~repro.live.mpc.MPCController`'s shadow-simulation race;
-4. :meth:`~repro.cluster.simulation.ClusterSimulation.advance_stream`
-   runs the ticks whose rows have arrived, through the same segment
-   loop and at the same simulation times as the offline batch run.
-   Between two decisions a VMT-TA or round-robin run is open-loop, so
-   when the simulation
-   :attr:`~repro.cluster.simulation.ClusterSimulation.plans_stream`,
-   the runner advances once before each decision and once after the
-   feed ends, and the planned kernel plans each decision interval as
-   one segment.  Every other run advances once per arrival: a
-   checkpointing VMT-TA or round-robin run plans each arrival's tick
-   (a live snapshot must hold no row past its tick), and closed-loop
-   policies, telemetry, the sanitizer, observers and ambient profiles
-   fire it on the per-tick driver.
+   :class:`~repro.live.mpc.MPCController`'s shadow-simulation race.
 
-Step 4's exact tick times are what make the oracle differential test
+Once the feed ends, the runner advances over the remaining rows.  The
+runner changes nothing a tick reads between two decisions, so a
+decision interval run as one span gives the bits of one tick per
+arrival; the no-lookahead guard in
+:meth:`~repro.cluster.simulation.ClusterSimulation._advance` refuses a
+span whose rows have not all arrived.
+
+Step 1's exact tick times are what make the oracle differential test
 possible: with a perfect forecaster every decision is a no-op, so the
 live run's physics, RNG consumption, metric series -- and therefore its
 fingerprint -- are bit-identical to the batch run over the same trace.
@@ -137,6 +136,10 @@ class LiveRunner:
                     "live snapshot is not at a quiescent boundary "
                     f"(buffer {self._buffer.filled} rows, tick "
                     f"{self._sim._step_index})")
+            # The incumbent the MPC races against is the last GV decided
+            # (VMT schedulers carry it; the others ignore the GV).
+            self._gv = restore_from.state["scheduler"].get("gv_override",
+                                                           self._gv)
 
     @property
     def simulation(self) -> ClusterSimulation:
@@ -172,29 +175,27 @@ class LiveRunner:
         step_s = self._buffer.step_seconds
         pace = (None if self._speedup is None
                 else step_s / self._speedup)
+        every = self._sim._checkpoint_every
         self._sim.begin_streaming()
-        segmented = self._sim.plans_stream
         steps = 0
         for step, row in self._feed.iter_rows(start=start_step):
             if step != self._buffer.filled:
                 raise SimulationError(
                     f"feed yielded step {step}, expected "
                     f"{self._buffer.filled}")
+            decides = step % self._decision_every == 0
+            if decides or (every is not None and step % every == 0):
+                # Every tick before this one (a no-op when none is
+                # pending), so a checkpoint here holds ``step`` rows.
+                self._sim.advance_stream(step - 1)
             self._buffer.append(row)
             self._forecaster.observe(step, row)
-            if step % self._decision_every == 0:
-                if segmented:
-                    # Every tick before this decision (a no-op when
-                    # none is pending).
-                    self._sim.advance_stream(step - 1)
+            if decides:
                 self._decide(step)
-            if not segmented:
-                self._sim.advance_stream(step)
             steps += 1
             if pace is not None:
                 _time.sleep(pace)
-        if segmented:
-            self._sim.advance_stream(self._buffer.filled - 1)
+        self._sim.advance_stream(self._buffer.filled - 1)
         result = self._sim.finish_streaming()
         return LiveRunReport(
             result=result,

@@ -21,13 +21,14 @@ service with four moving parts:
     ...                     # POST /v1/runs, GET /v1/leaderboard, ...
     server.stop()
 
-or, blocking, ``python -m repro.serve --data-dir state/`` (the
-``repro-sim serve`` CLI wraps the same entry point).
+or, blocking, ``repro-sim serve --data-dir state/`` (``python -m
+repro.serve`` takes the same flags).
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 from typing import Optional
 
@@ -147,29 +148,6 @@ class Server:
 
 
 def main(argv: Optional[list] = None) -> int:
-    """``python -m repro.serve``: run a blocking server."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="Serve the repro v1 simulation API over HTTP.")
-    parser.add_argument("--data-dir", default="repro-serve-data",
-                        help="state root: jobs, registry, checkpoints "
-                             "(default: %(default)s)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8765)
-    parser.add_argument("--max-workers", type=int, default=2,
-                        help="concurrent job executor threads "
-                             "(default: %(default)s)")
-    parser.add_argument("--job-timeout", type=float,
-                        default=JobManager.DEFAULT_TIMEOUT_S,
-                        metavar="SECONDS",
-                        help="default wall-clock budget per job; 0 "
-                             "disables (default: %(default)s)")
-    args = parser.parse_args(argv)
-    server = Server(args.data_dir, host=args.host, port=args.port,
-                    max_workers=args.max_workers,
-                    default_timeout_s=args.job_timeout)
-    print(f"repro-serve: listening on http://{args.host}:{args.port} "
-          f"(data: {args.data_dir})")
-    server.serve_forever()
-    return 0
+    """``python -m repro.serve``: ``repro-sim serve`` with ``argv``."""
+    from ..cli import main as cli_main
+    return cli_main(["serve", *(sys.argv[1:] if argv is None else argv)])

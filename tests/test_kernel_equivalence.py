@@ -55,7 +55,7 @@ from repro.config import (CoolingFaultSpec, FaultConfig, SensorFaultSpec,
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
 from repro.core.scheduler import NUM_WORKLOADS
 from repro.core.vmt_ta import VMTThermalAwareScheduler
-from repro.kernel import is_numba_available, planned
+from repro.kernel import is_numba_available
 from repro.kernel.planned import plan_vmt_ta
 from repro.errors import ConfigurationError, TraceError
 from repro.live import LiveTraceBuffer
@@ -450,10 +450,10 @@ class TestDispatch:
         assert sim.kernel_path == "stepped"
 
     def test_live_buffer_run_refuses_lookahead_before_any_tick(self):
-        """A live buffer raises on rows that have not arrived.  A batch
-        run is one segment, which the planned kernel checks through the
-        buffer's guard before it changes any state, so the run raises
-        before its first tick."""
+        """A live buffer raises on rows that have not arrived.  The
+        segment loop reads a span's last row through the buffer's guard
+        before it changes any state, so the run raises before its first
+        tick."""
         config = small_config()
         sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
                                 trace=partly_filled_buffer(config, 10),
@@ -462,6 +462,27 @@ class TestDispatch:
             sim.run()
         assert sim.kernel_path == "stepped"
         assert sim.engine.events_dispatched == 0
+
+    @pytest.mark.parametrize("option",
+                             (None, "telemetry", "checks", "observer"))
+    @pytest.mark.parametrize("policy", sorted(SCHEDULER_NAMES))
+    def test_every_run_refuses_lookahead_before_any_tick(self, policy,
+                                                         option, tmp_path):
+        """Closed-loop and instrumented runs, which take the per-tick
+        driver, raise before their first tick too."""
+        config = small_config()
+        kwargs = {None: {}, "observer": {},
+                  "telemetry": {"telemetry": str(tmp_path)},
+                  "checks": {"checks": "cheap"}}[option]
+        sim = ClusterSimulation(config, make_scheduler(policy, config),
+                                trace=partly_filled_buffer(config, 10),
+                                record_heatmaps=False, **kwargs)
+        if option == "observer":
+            per_tick(sim)
+        with pytest.raises(TraceError, match="no lookahead"):
+            sim.run()
+        assert sim.engine.events_dispatched == 0
+        assert sim._metrics.size == 0
 
     def test_fault_runs_fall_back_to_the_engine(self):
         """Fault runs take the stepped driver, which runs their fault
@@ -730,11 +751,10 @@ class TestPlannedSegments:
         sim = ClusterSimulation(config, make_scheduler("vmt-ta", config),
                                 trace=buffer, record_heatmaps=False)
         sim.begin_streaming()
-        assert sim.plans_stream
         sim.advance_stream(4)
         before = sim.snapshot()
         with pytest.raises(TraceError, match="no lookahead"):
-            planned.advance(sim, 11)
+            sim._advance(11)
         with pytest.raises(TraceError, match="no lookahead"):
             sim.advance_stream(10)
         after = sim.snapshot()

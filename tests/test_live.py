@@ -8,15 +8,19 @@ artifact.  Around that: no-lookahead enforcement, feed framing, live
 determinism, MPC shadow racing, mid-stream checkpoint/resume as state
 migration, and the cooperative (thread-safe) run timeout.
 
-A clean open-loop live run plans each decision interval as one segment;
-it must match the per-row path (one tick per arrival on the per-tick
-driver, forced by attaching an observer) in fingerprint, control trail
-and the snapshot state tree at every decision, on hand-picked and
-generated cases.
+A live run advances once per decision or checkpoint interval.  A clean
+open-loop run plans each interval as one segment; it must match the
+per-row path (the same ticks fired one by one on the per-tick driver,
+forced by attaching an observer) in fingerprint, control trail and the
+snapshot state tree at every decision, on hand-picked and generated
+cases.  A checkpointing stream must match the same stream without
+checkpoints, write snapshots that hold exactly their tick's rows, and
+resume from any of them to the straight run's fingerprint.
 """
 
 import glob
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from repro.live import (JsonlFeed, LiveRunner, LiveTraceBuffer,
                         make_feed, make_forecaster, resume_live)
 from repro.perf.runner import ExperimentRunner, RunFailure, RunSpec
 from repro.state.checkpoint import checkpoint_path, verify_roundtrip
+from repro.state.snapshot import load_snapshot
 from repro.workloads.workload import HOT_INDICES, WORKLOAD_LIST
 
 NUM_WORKLOADS = len(WORKLOAD_LIST)
@@ -51,8 +56,8 @@ def run_live(config, policy, feed, *, per_row, decision_every,
              forecaster="last-value", mpc_horizon=None, **kwargs):
     """One live run: (report, state tree at every decision, simulation).
 
-    ``per_row`` attaches a no-op observer, so the run fires one tick per
-    arrival instead of planning each decision interval.
+    ``per_row`` attaches a no-op observer, so the run fires its ticks on
+    the per-tick driver instead of planning each decision interval.
     """
     mpc = (None if mpc_horizon is None
            else MPCController(config, horizon_steps=mpc_horizon))
@@ -237,8 +242,8 @@ class TestOracleDifferential:
     @pytest.mark.parametrize("policy", ("vmt-wa", "coolest-first"))
     def test_step_not_exact_in_binary(self, policy):
         """At a 59.9 s step the accumulated tick time passes ``k * 59.9``
-        from tick 21 on; each live tick still fires as its row arrives,
-        at the batch run's time, and none is dropped."""
+        from tick 21 on; each live tick still fires at the batch run's
+        time, and none is dropped."""
         config = SimulationConfig(
             num_servers=6, seed=11,
             trace=TraceConfig(duration_hours=1.0, step_seconds=59.9))
@@ -443,6 +448,32 @@ class TestLiveMigration:
         assert resumed.steps_ingested < straight.steps_ingested
         verify_roundtrip(straight.result, resumed.result)
 
+    def test_mpc_stream_resumes_bit_identically(self, tmp_path):
+        """A resumed MPC stream races its first decision against the last
+        GV decided before the snapshot, as the straight stream does."""
+        config = paper_cluster_config(
+            num_servers=11, grouping_value=30.57821956020735,
+            seed=72).replace(trace=TraceConfig(duration_hours=4.0))
+
+        def stream(**kwargs):
+            return LiveRunner(config, "vmt-ta",
+                              TraceReplayFeed.from_config(config),
+                              forecaster="oracle", decision_every=15,
+                              mpc=MPCController(config, horizon_steps=13),
+                              **kwargs)
+
+        straight = stream().run()
+        stream(checkpoint_every=40, checkpoint_dir=str(tmp_path)).run()
+        resumed = resume_live(
+            checkpoint_path(str(tmp_path), 40),
+            TraceReplayFeed.from_config(config), forecaster="oracle",
+            decision_every=15,
+            mpc=MPCController(config, horizon_steps=13)).run()
+        # The snapshot's scheduler holds the GV decided at step 30.
+        assert straight.gv_trail[2] != (30, config.scheduler.grouping_value)
+        assert resumed.gv_trail == straight.gv_trail[3:]
+        assert resumed.result.fingerprint() == straight.result.fingerprint()
+
     def test_resume_live_rejects_batch_snapshots(self, tmp_path):
         config = tiny_config()
         run_simulation(config, make_scheduler("vmt-ta", config),
@@ -497,7 +528,6 @@ class TestSegmentPlanning:
         assert sim.kernel_path == "planned"
         seen = []
         sim.add_observer(lambda time_s, *_: seen.append(time_s))
-        assert not sim.plans_stream
         sim.advance_stream(trace.num_steps - 1)
         assert seen[0] == 51 * trace.step_seconds
         assert len(seen) == trace.num_steps - 50
@@ -554,13 +584,9 @@ class TestSegmentPlanning:
         runner = LiveRunner(config, policy,
                             TraceReplayFeed.from_config(config),
                             forecaster="oracle", **kwargs)
-        # A live snapshot holds no row past its tick, so a checkpointing
-        # stream advances once per arrival, and plans each arrival's tick.
-        assert runner.simulation.plans_stream == (
-            path == "planned" and option != "checkpoints")
         report = runner.run()
         # "reference" is the per-tick chain, which the stepped driver
-        # fires one tick per arrival.
+        # fires tick by tick.
         assert runner.simulation.kernel_path == (
             "stepped" if path == "reference" else path)
         batch = run_simulation(config, make_scheduler(policy, config))
@@ -570,45 +596,83 @@ class TestSegmentPlanning:
 @st.composite
 def live_cases(draw):
     """(servers, hours, gv, cadence, policy, forecaster, feed, horizon,
-    seed) of one open-loop live run; ``horizon`` None runs no MPC."""
+    seed, every) of one live run; ``horizon`` None runs no MPC, and
+    ``every`` None writes no checkpoints."""
     return (draw(st.integers(4, 16)), draw(st.integers(1, 6)),
             draw(st.floats(1.0, 36.0)), draw(st.integers(1, 90)),
-            draw(st.sampled_from(("vmt-ta", "round-robin"))),
+            draw(st.sampled_from(sorted(SCHEDULER_NAMES))),
             draw(st.sampled_from(("oracle", "last-value"))),
             draw(st.sampled_from(("replay", "synthetic"))),
             draw(st.none() | st.integers(5, 60)),
-            draw(st.integers(0, 99)))
+            draw(st.integers(0, 99)),
+            draw(st.none() | st.integers(1, 90)))
 
 
 class TestGeneratedLiveDifferential:
-    """Generated open-loop live runs: planned segments == per-row path,
-    decision by decision, and with the oracle over a replay feed and no
-    MPC, == the batch run on the per-tick chain."""
+    """Generated live runs.  Open-loop: planned segments == per-row path,
+    decision by decision.  Checkpointing: == the same stream without
+    checkpoints, every snapshot holds its tick's rows, and a resume from
+    one of them == the straight run.  With the oracle over a replay feed
+    and no MPC: == the batch run on the per-tick chain."""
 
     @given(case=live_cases())
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @example(case=(6, 1, 22.0, 1, "vmt-ta", "last-value", "replay", 5, 3))
+    @example(case=(6, 1, 22.0, 1, "vmt-ta", "last-value", "replay", 5, 3,
+                   None))
     # Hot group sizes 0 and n of 8 servers (Eq. 1, PMT 35.7 C).
-    @example(case=(8, 2, 1.0, 30, "vmt-ta", "oracle", "replay", None, 7))
-    @example(case=(8, 2, 36.0, 30, "vmt-ta", "oracle", "replay", None, 7))
+    @example(case=(8, 2, 1.0, 30, "vmt-ta", "oracle", "replay", None, 7,
+                   None))
+    @example(case=(8, 2, 36.0, 30, "vmt-ta", "oracle", "replay", None, 7,
+                   None))
+    # A checkpoint between two decisions of a closed-loop MPC stream.
+    @example(case=(6, 2, 22.0, 45, "vmt-wa", "last-value", "replay", 10,
+                   3, 40))
     def test_planned_live_run_equals_per_row(self, case):
         (servers, hours, gv, cadence, policy, forecaster, feed, horizon,
-         seed) = case
+         seed, every) = case
         config = paper_cluster_config(
             num_servers=servers, grouping_value=gv, seed=seed).replace(
                 trace=TraceConfig(duration_hours=hours))
         if feed == "synthetic" and horizon is not None:
             # The oracle forecasts only from a recorded trace.
             forecaster = "last-value"
-        runs = [run_live(config, policy, make_feed(feed, config, seed=seed),
-                         per_row=per_row, decision_every=cadence,
-                         forecaster=forecaster, mpc_horizon=horizon)
-                for per_row in (False, True)]
-        assert_live_runs_equal(*runs)
+
+        def live(**kwargs):
+            return run_live(config, policy,
+                            make_feed(feed, config, seed=seed),
+                            decision_every=cadence, forecaster=forecaster,
+                            mpc_horizon=horizon, **kwargs)
+
+        straight = live(per_row=False)
+        fingerprint = straight[0].result.fingerprint()
+        if policy in ("vmt-ta", "round-robin"):
+            assert_live_runs_equal(straight, live(per_row=True))
+        if every is not None:
+            with tempfile.TemporaryDirectory() as tmp:
+                report, _, sim = live(per_row=False, checkpoint_every=every,
+                                      checkpoint_dir=tmp)
+                assert report.result.fingerprint() == fingerprint
+                assert report.gv_trail == straight[0].gv_trail
+                records = sim.checkpoint_records
+                assert [r["tick"] for r in records] == list(
+                    range(every, config.trace.num_steps + 1, every))
+                for record in records:
+                    snapshot = load_snapshot(record["file"])
+                    assert (snapshot.state["live"]["filled"]
+                            == snapshot.tick == record["tick"])
+                if records:
+                    mpc = (None if horizon is None else
+                           MPCController(config, horizon_steps=horizon))
+                    resumed = resume_live(
+                        records[seed % len(records)]["file"],
+                        make_feed(feed, config, seed=seed),
+                        forecaster=forecaster, decision_every=cadence,
+                        mpc=mpc).run()
+                    assert resumed.result.fingerprint() == fingerprint
         if forecaster == "oracle" and feed == "replay" and horizon is None:
             batch = per_tick(ClusterSimulation(
                 config, make_scheduler(policy, config))).run()
-            assert runs[0][0].result.fingerprint() == batch.fingerprint()
+            assert fingerprint == batch.fingerprint()
 
 
 class TestThreadedTimeout:
