@@ -485,11 +485,8 @@ class ClusterSimulation:
         wall_start = time.perf_counter()
         self._start()
         if self._injector is not None:
-            if self._restored:
-                self._injector.reattach(self._engine, self._cluster,
-                                        next_tick_s=self._next_tick_s)
-            else:
-                self._injector.attach(self._engine, self._cluster)
+            self._injector.attach(self._engine, self._cluster,
+                                  first_tick_s=self._next_tick_s)
         self._advance(self._trace.num_steps)
         stepped.drain(self)
         if self._injector is not None:

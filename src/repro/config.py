@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -452,6 +453,17 @@ SENSOR_TARGETS = ("air", "wax")
 SENSOR_FAULT_MODES = ("stuck", "dropout", "drift")
 
 
+def _require_finite(spec) -> None:
+    """Raise :class:`ConfigurationError` naming ``spec``'s first numeric
+    field that is NaN or infinite (NaN passes every ``<``/``<=`` check)."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ConfigurationError(
+                f"{type(spec).__name__}.{f.name} must be finite, "
+                f"got {value}")
+
+
 @dataclass(frozen=True)
 class ServerFaultSpec:
     """One scripted server failure.
@@ -467,6 +479,7 @@ class ServerFaultSpec:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.time_s < 0:
             raise ConfigurationError("fault time must be >= 0")
         if self.server_id < 0:
@@ -494,6 +507,7 @@ class SensorFaultSpec:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.time_s < 0:
             raise ConfigurationError("fault time must be >= 0")
         if self.server_id < 0:
@@ -524,6 +538,7 @@ class CoolingFaultSpec:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.time_s < 0:
             raise ConfigurationError("fault time must be >= 0")
         if not 0.0 <= self.capacity_factor <= 1.0:
@@ -558,6 +573,7 @@ class FaultConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.hazard_acceleration < 0:
             raise ConfigurationError(
                 "hazard acceleration must be >= 0")

@@ -9,11 +9,13 @@ engine events that mutate a shared :class:`~repro.faults.state.FaultState`:
   so hot-group servers really do fail more often -- the closed loop the
   paper only estimates analytically.
 
-Fault events are the only events on the engine.  The per-tick driver
-(:mod:`repro.kernel.stepped`) runs the engine up to each scheduler
-tick's time before firing the tick, so at a shared timestamp they fire
-first: a scheduler never places work on a server that died "this
-minute".
+The hazard sampler is one event that draws, then queues the next draw
+one step later (``event.time + step_seconds``, accumulated in float as
+the tick times are).  Fault events are the only events on the engine.
+The per-tick driver (:mod:`repro.kernel.stepped`) runs the engine up to
+each scheduler tick's time before firing the tick, so at a shared
+timestamp they fire first: a scheduler never places work on a server
+that died "this minute".
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from ..config import SimulationConfig
 from ..errors import FaultInjectionError
 from ..obs.tracer import NULL_TRACER
 from ..server.reliability import ReliabilityModel
-from ..sim.engine import Engine
-from ..sim.process import PeriodicProcess
+from ..sim.engine import Engine, Event
 from ..sim.rng import RngStreams
 
-#: Priority of fault events on the engine (ahead of priority-0 events
-#: at the same timestamp).
+#: Priority of fault events on the engine.  They are its only events, so
+#: at a shared timestamp they fire in the order they were queued.
 FAULT_EVENT_PRIORITY = -10
 
 #: Seconds per hour (hazard rates are per hour).
@@ -57,7 +58,8 @@ class FaultInjector:
         from .state import FaultState
         self._state = FaultState(config)
         self._cluster = None
-        self._hazard_process: Optional[PeriodicProcess] = None
+        self._engine: Optional[Engine] = None
+        self._next_draw: Optional[Event] = None
         self._tracer = NULL_TRACER
         # Hazard auto-repairs are scheduled dynamically (unlike scripted
         # events they cannot be re-derived from the config), so their
@@ -91,69 +93,51 @@ class FaultInjector:
         registry.gauge("faults.sensor_faults",
                        lambda: float(self._state.sensor_fault_count))
 
-    def attach(self, engine: Engine, cluster) -> None:
-        """Register the scenario's events on a simulation's engine."""
-        if self._cluster is not None:
-            raise FaultInjectionError(
-                "fault injector is already attached to a simulation")
-        self._cluster = cluster
-        self._schedule_scripted(engine, after_s=None)
-        if (self._fault_cfg.hazard_failures
-                and self._fault_cfg.hazard_acceleration > 0):
-            self._hazard_process = PeriodicProcess(
-                engine, self._config.trace.step_seconds,
-                self._hazard_tick, priority=FAULT_EVENT_PRIORITY,
-                name="fault-hazard")
-        self._engine = engine
+    def attach(self, engine: Engine, cluster, *,
+               first_tick_s: float) -> None:
+        """Queue the scenario's events on a simulation's engine.
 
-    def reattach(self, engine: Engine, cluster, *,
-                 next_tick_s: float) -> None:
-        """Re-register events on a restored simulation's engine.
-
-        The snapshot does not serialize event callbacks, so the injector
-        rebuilds its queue entries: scripted events strictly after the
-        engine clock (earlier ones already fired and live on in the
-        restored :class:`FaultState`), the snapshot's pending hazard
-        auto-repairs, and the hazard process aligned to the next
-        scheduler tick at ``next_tick_s``.
+        The snapshot does not serialize event callbacks, so a restored
+        simulation's injector rebuilds its queue here too: scripted
+        events strictly after the engine clock (earlier ones already
+        fired and live on in the restored :class:`FaultState`), the
+        snapshot's pending hazard auto-repairs, and the first hazard
+        draw at ``first_tick_s``, the simulation's next tick.
         """
         if self._cluster is not None:
             raise FaultInjectionError(
                 "fault injector is already attached to a simulation")
         self._cluster = cluster
-        # Events at or before the restored clock already fired -- their
-        # effects live in the restored FaultState.  The one exception is
-        # a tick-0 snapshot (nothing dispatched yet): there, even t=0
-        # events are still pending.
+        self._engine = engine
+        # Events at or before a restored clock already fired -- their
+        # effects live in the restored FaultState.  Before the first
+        # dispatch (a fresh run, or a tick-0 snapshot) even t=0 events
+        # are still pending.
         after_s = engine.now if engine.events_dispatched > 0 else None
-        self._schedule_scripted(engine, after_s=after_s)
+        self._schedule_scripted(after_s)
         for time_s, server_id in self._pending_auto_repairs:
-            engine.schedule_at(
-                float(time_s), self._fire_server_repair,
-                priority=FAULT_EVENT_PRIORITY,
-                name=f"repair-server-{server_id}",
-                payload=int(server_id))
+            self._schedule(time_s, self._fire_server_repair,
+                           f"repair-server-{server_id}", server_id)
         if (self._fault_cfg.hazard_failures
                 and self._fault_cfg.hazard_acceleration > 0):
-            self._hazard_process = PeriodicProcess(
-                engine, self._config.trace.step_seconds,
-                self._hazard_tick, start_at=next_tick_s,
-                priority=FAULT_EVENT_PRIORITY, name="fault-hazard")
-        self._engine = engine
+            self._next_draw = self._schedule(
+                first_tick_s, self._fire_hazard_draw, "fault-hazard", None)
 
-    def _schedule_scripted(self, engine: Engine,
-                           after_s: Optional[float]) -> None:
-        """Schedule the config's deterministic events on ``engine``.
+    def _schedule(self, time_s: float, callback, name: str,
+                  payload) -> Event:
+        return self._engine.schedule_at(time_s, callback,
+                                        priority=FAULT_EVENT_PRIORITY,
+                                        name=name, payload=payload)
+
+    def _schedule_scripted(self, after_s: Optional[float]) -> None:
+        """Queue the config's deterministic events.
 
         With ``after_s`` set, events at or before that time are skipped
         -- they already fired before the snapshot was taken.
         """
         def schedule(time_s, callback, name, payload):
-            if after_s is not None and time_s <= after_s:
-                return
-            engine.schedule_at(time_s, callback,
-                               priority=FAULT_EVENT_PRIORITY,
-                               name=name, payload=payload)
+            if after_s is None or time_s > after_s:
+                self._schedule(time_s, callback, name, payload)
 
         for spec in self._fault_cfg.server_faults:
             schedule(spec.time_s, self._fire_server_fault,
@@ -184,10 +168,10 @@ class FaultInjector:
                          "cooling-restore", 1.0)
 
     def detach(self) -> None:
-        """Stop the hazard process (scripted events stay scheduled)."""
-        if self._hazard_process is not None:
-            self._hazard_process.stop()
-            self._hazard_process = None
+        """Cancel the queued hazard draw (scripted events stay queued)."""
+        if self._next_draw is not None:
+            self._engine.cancel(self._next_draw)
+            self._next_draw = None
 
     # -- snapshot protocol ---------------------------------------------------
 
@@ -268,15 +252,18 @@ class FaultInjector:
 
     # -- temperature-dependent random failures ------------------------------
 
-    def _hazard_tick(self, now_s: float) -> None:
-        """Sample per-server failures from the temperature hazard.
+    def _fire_hazard_draw(self, event) -> None:
+        """Sample per-server failures from the temperature hazard, then
+        queue the next draw one step later.
 
         The per-tick failure probability is
         ``rate(T_i) * acceleration * dt`` -- the exact thinning of the
         inhomogeneous failure process at the tick resolution.  One
         uniform is drawn per server every tick regardless of who is
-        alive, so the stream stays aligned across scenarios.
+        alive, so the stream stays aligned across scenarios.  The next
+        draw is queued after any repairs this one scheduled.
         """
+        now_s = event.time
         cluster = self._cluster
         temps = cluster.air_temp_c
         rates = self._reliability.failure_rate_per_hour(temps)
@@ -293,9 +280,8 @@ class FaultInjector:
                 repair_at = now_s + self._fault_cfg.repair_time_s
                 self._pending_auto_repairs.append(
                     (float(repair_at), int(server_id)))
-                self._engine.schedule_at(
-                    repair_at,
-                    self._fire_server_repair,
-                    priority=FAULT_EVENT_PRIORITY,
-                    name=f"repair-server-{server_id}",
-                    payload=int(server_id))
+                self._schedule(repair_at, self._fire_server_repair,
+                               f"repair-server-{server_id}", int(server_id))
+        self._next_draw = self._schedule(
+            now_s + self._config.trace.step_seconds,
+            self._fire_hazard_draw, "fault-hazard", None)

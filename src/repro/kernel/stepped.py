@@ -2,21 +2,20 @@
 
 One scheduler tick per trace step, each a direct call of
 ``ClusterSimulation._tick`` -- the per-tick chain ``Scheduler.place`` ->
-``Cluster.step`` -> ``MetricsCollector.record`` -- at the simulated time
-a periodic process would fire it: ``now += step_seconds`` accumulated
-in float from the run's start (``k * step_seconds`` on a run restored at
-tick ``k``, or after a planned segment that ended there).  The driver
-keeps the engine's clock and dispatch counter by hand, one dispatch per
-tick, as the planned kernel does, so the snapshots
-``ClusterSimulation._advance`` writes between segments, and post-run
-state, read the same on every path.
+``Cluster.step`` -> ``MetricsCollector.record`` -- at ``now +=
+step_seconds`` accumulated in float from the run's start (``k *
+step_seconds`` on a run restored at tick ``k``, or after a planned
+segment that ended there), the times the fault injector's hazard draws
+accumulate too.  The driver keeps the engine's clock and dispatch
+counter by hand, one dispatch per tick, as the planned kernel does, so
+the snapshots ``ClusterSimulation._advance`` writes between segments,
+and post-run state, read the same on every path.
 
 Fault events are the only events on the engine.  When a fault injector
 is attached, the driver runs the engine up to each tick's time before
 firing the tick, so every scripted fault, repair, and hazard draw at or
-before it lands first (fault events outrank ticks at a shared
-timestamp), and :func:`drain` runs it up to the end of the run once the
-last tick has fired.
+before it lands first, and :func:`drain` runs it up to the end of the
+run once the last tick has fired.
 
 The scheduler's allocation is validated once by ``Scheduler.place`` and
 then trusted -- ``Cluster.step``'s re-validation of the same array is

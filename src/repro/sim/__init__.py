@@ -1,23 +1,19 @@
 """Event-driven simulation kernel.
 
 This subpackage is the reproduction's stand-in for DCsim, the event-driven
-datacenter simulator the paper uses for its scale-out study.  It provides a
-minimal but complete discrete-event engine:
+datacenter simulator the paper uses for its scale-out study:
 
-* :class:`~repro.sim.events.Event` and
-  :class:`~repro.sim.events.EventQueue` -- a stable priority queue of
-  timestamped callbacks;
-* :class:`~repro.sim.engine.Engine` -- the clock and run loop;
-* :class:`~repro.sim.process.PeriodicProcess` -- fixed-rate processes such
-  as the per-tick hazard-failure sampler;
+* :class:`~repro.sim.engine.Engine` -- one stable heap of timestamped
+  :class:`~repro.sim.engine.Event` callbacks, its clock and its dispatch
+  counter.  Fault events (scripted faults, repairs, the hazard draws)
+  are the only events on it; the tick drivers in :mod:`repro.kernel`
+  drain them at tick boundaries;
 * :class:`~repro.sim.rng.RngStreams` -- named, independently seeded random
   streams so that adding randomness to one subsystem never perturbs
   another.
 """
 
-from .engine import Engine
-from .events import Event, EventQueue
-from .process import PeriodicProcess
+from .engine import Engine, Event
 from .rng import RngStreams
 
-__all__ = ["Engine", "Event", "EventQueue", "PeriodicProcess", "RngStreams"]
+__all__ = ["Engine", "Event", "RngStreams"]

@@ -1,11 +1,26 @@
-"""The discrete-event engine: clock, scheduling, and run loop."""
+"""The discrete-event engine: one heap of timestamped callbacks and a clock."""
 
 from __future__ import annotations
 
-from typing import Any
+import heapq
+import itertools
+from dataclasses import dataclass
+from typing import Any, Callable, List
 
 from ..errors import SimulationError
-from .events import Event, EventCallback, EventQueue
+
+EventCallback = Callable[["Event"], None]
+
+
+@dataclass
+class Event:
+    """One queued callback, fired as ``callback(event)`` at ``time``."""
+
+    time: float
+    callback: EventCallback
+    priority: int = 0
+    name: str = ""
+    payload: Any = None
 
 
 class Engine:
@@ -22,9 +37,9 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
+        self._heap: List[Any] = []
+        self._counter = itertools.count()
         self._now = 0.0
-        self._running = False
         self._dispatched = 0
 
     @property
@@ -39,116 +54,61 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return self._queue.live_count
+        """Number of events still queued."""
+        return len(self._heap)
 
     def schedule_at(self, time: float, callback: EventCallback, *,
                     priority: int = 0, name: str = "",
                     payload: Any = None) -> Event:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self._now:
+        """Queue ``callback`` at absolute simulation time ``time``."""
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}")
-        return self._queue.push(
-            Event(time=time, callback=callback, priority=priority,
-                  name=name, payload=payload))
+        event = Event(time=time, callback=callback, priority=priority,
+                      name=name, payload=payload)
+        heapq.heappush(self._heap,
+                       (time, priority, next(self._counter), event))
+        return event
 
-    def schedule_after(self, delay: float, callback: EventCallback, *,
-                       priority: int = 0, name: str = "",
-                       payload: Any = None) -> Event:
-        """Schedule ``callback`` after ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError("delay must be non-negative")
-        return self.schedule_at(self._now + delay, callback,
-                                priority=priority, name=name, payload=payload)
+    def cancel(self, event: Event) -> None:
+        """Remove ``event`` from the queue (a no-op once it has fired)."""
+        self._heap[:] = [entry for entry in self._heap
+                         if entry[3] is not event]
+        heapq.heapify(self._heap)
 
     def run_until(self, end_time: float) -> None:
-        """Dispatch all events with ``time <= end_time`` in order.
-
-        The clock is left at ``end_time`` when the queue drains (or only
-        later events remain), matching the usual discrete-event
-        convention.  When :meth:`stop` halts the loop early, undispatched
-        events may remain before ``end_time``, so the clock stays at the
-        last dispatched event's time instead of jumping ahead of them.
-        """
-        if end_time < self._now:
+        """Dispatch every event with ``time <= end_time`` in order, then
+        leave the clock at ``end_time``."""
+        if not end_time >= self._now:
             raise SimulationError("end_time is in the past")
-        if self._running:
-            raise SimulationError(
-                "run_until called re-entrantly from inside an event")
-        self._running = True
-        stopped_early = False
-        try:
-            while True:
-                if not self._running:
-                    stopped_early = True
-                    break
-                next_time = self._queue.peek_time()
-                if next_time is None or next_time > end_time:
-                    break
-                event = self._queue.pop()
-                self._now = event.time
-                event.fire()
-                self._dispatched += 1
-        finally:
-            self._running = False
-        if not stopped_early:
-            self._now = max(self._now, end_time)
+        heap = self._heap
+        while heap and heap[0][0] <= end_time:
+            event = heapq.heappop(heap)[3]
+            self._now = event.time
+            event.callback(event)
+            self._dispatched += 1
+        self._now = end_time
 
     def advance_to(self, end_time: float) -> None:
-        """Incrementally advance the clock to ``end_time``.
-
-        The re-entrant spelling of :meth:`run_until` for live/streaming
-        drivers that feed the engine one slice of time per arrival.  Each
-        call dispatches exactly the events one big ``run_until`` over the
-        same span would have, and the stop()/clock-jump contract holds
-        *per call*: a :meth:`stop` inside a callback leaves the clock at
-        the last dispatched event (undispatched events before
-        ``end_time`` stay queued), and the next ``advance_to`` resumes
-        from there -- including re-advancing to the same ``end_time`` to
-        drain what the stop left behind.  ``end_time == now`` is legal
-        and dispatches any events scheduled exactly at ``now``.
-        """
+        """Alias of :meth:`run_until`, kept because ``perfbench`` wraps
+        both names."""
         self.run_until(end_time)
-
-    def run(self) -> None:
-        """Dispatch every queued event (the queue must be finite)."""
-        self._running = True
-        try:
-            while self._running and self._queue.peek_time() is not None:
-                event = self._queue.pop()
-                self._now = event.time
-                event.fire()
-                self._dispatched += 1
-        finally:
-            self._running = False
-
-    def stop(self) -> None:
-        """Stop the run loop after the current event returns."""
-        self._running = False
-
-    def reset(self) -> None:
-        """Clear the queue and rewind the clock to zero."""
-        self._queue.clear()
-        self._now = 0.0
-        self._dispatched = 0
 
     # -- snapshot protocol -------------------------------------------------
 
     def state_dict(self) -> dict:
         """Clock and dispatch counter (events are not serializable).
 
-        The event queue holds live callbacks, so it is deliberately not
-        part of this state: snapshots are only taken at quiescent tick
-        boundaries where every pending event is reconstructable from
-        configuration (scripted fault events, the hazard process, pending
-        auto-repairs -- each owner re-schedules its own on restore).
+        The queue holds live callbacks, so it is deliberately not part of
+        this state: snapshots are only taken at quiescent tick boundaries,
+        where the fault injector can rebuild every pending event from its
+        configuration and its own state on restore.
         """
         return {"now_s": self._now, "dispatched": self._dispatched}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore the clock; the queue must be empty (fresh engine)."""
-        if len(self._queue) != 0:
+        if self._heap:
             raise SimulationError(
                 "cannot restore engine state over a non-empty event queue")
         self._now = float(state["now_s"])
@@ -159,4 +119,4 @@ class Engine:
         registry.gauge("engine.events_dispatched",
                        lambda: float(self._dispatched))
         registry.gauge("engine.pending_events",
-                       lambda: float(self._queue.live_count))
+                       lambda: float(len(self._heap)))

@@ -64,3 +64,15 @@ class TestErrorPaths:
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--kill", "1", "--kill-at", "nan"], "ServerFaultSpec.time_s"),
+        (["--kill", "1", "--repair-after", "nan"],
+         "ServerFaultSpec.repair_after_s"),
+        (["--derate", "0.8", "--derate-at", "inf"],
+         "CoolingFaultSpec.time_s"),
+        (["--hazard", "nan"], "FaultConfig.hazard_acceleration"),
+    ])
+    def test_non_finite_fault_flags_rejected(self, capsys, flags, field):
+        assert main(["run", "--servers", "8", *flags]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err

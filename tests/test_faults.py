@@ -28,7 +28,10 @@ from repro.faults import (FaultInjector, FaultState, cooling_derate,
                           kill_hot_group_fraction, kill_servers,
                           merge_scenarios, stuck_wax_sensors,
                           temperature_hazard)
+from repro.server.reliability import ReliabilityModel
 from repro.server.sensors import SensorFaultBank
+from repro.state.checkpoint import checkpoint_path
+from repro.state.snapshot import load_snapshot
 from repro.thermal.throttling import CPUThermalModel
 from repro.workloads.trace import TraceMatrix
 from repro.workloads.workload import WORKLOAD_LIST
@@ -39,6 +42,43 @@ POLICIES = ("round-robin", "coolest-first", "vmt-ta", "vmt-wa")
 def _faulted(config: SimulationConfig,
              faults: FaultConfig) -> SimulationConfig:
     return dataclasses.replace(config, faults=faults)
+
+
+class _ClockedReliability(ReliabilityModel):
+    """The default hazard model, noting the engine clock and the number
+    of active servers at each draw."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sim = None
+        self.draw_times = []
+        self.active_at_draw = []
+
+    def failure_rate_per_hour(self, temp_c):
+        self.draw_times.append(self.sim.engine.now)
+        self.active_at_draw.append(self.sim.fault_injector.state.num_active)
+        return super().failure_rate_per_hour(temp_c)
+
+
+def _clocked_hazard_run(config: SimulationConfig, *,
+                        acceleration: float = 3000.0,
+                        repair_time_s: float = 1800.0, **kwargs):
+    """(simulation, hazard model, tick times) of a 2 h hazard run at a
+    59.9 s step, the step not exact in binary."""
+    faults = dataclasses.replace(temperature_hazard(acceleration),
+                                 repair_time_s=repair_time_s)
+    config = dataclasses.replace(
+        _faulted(config, faults),
+        trace=TraceConfig(duration_hours=2.0, step_seconds=59.9))
+    reliability = _ClockedReliability()
+    sim = ClusterSimulation(
+        config, make_scheduler("vmt-ta", config), record_heatmaps=False,
+        fault_injector=FaultInjector(config, reliability=reliability),
+        **kwargs)
+    reliability.sim = sim
+    tick_times = []
+    sim.add_observer(lambda *args: tick_times.append(sim.engine.now))
+    return sim, reliability, tick_times
 
 
 # -- SensorFaultBank --------------------------------------------------------
@@ -130,6 +170,58 @@ class TestFaultConfigValidation:
             ServerFaultSpec(time_s=-1.0, server_id=0),))
         with pytest.raises(ConfigurationError):
             cfg.validate()
+
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    @pytest.mark.parametrize("group, spec, field", [
+        ("server_faults", lambda v: ServerFaultSpec(time_s=v, server_id=0),
+         "ServerFaultSpec.time_s"),
+        ("server_faults", lambda v: ServerFaultSpec(
+            time_s=1.0, server_id=0, repair_after_s=v),
+         "ServerFaultSpec.repair_after_s"),
+        ("sensor_faults", lambda v: SensorFaultSpec(time_s=v, server_id=0),
+         "SensorFaultSpec.time_s"),
+        ("sensor_faults", lambda v: SensorFaultSpec(
+            time_s=1.0, server_id=0, mode="drift", drift_c_per_hour=v),
+         "SensorFaultSpec.drift_c_per_hour"),
+        ("sensor_faults", lambda v: SensorFaultSpec(
+            time_s=1.0, server_id=0, stuck_value_c=v),
+         "SensorFaultSpec.stuck_value_c"),
+        ("sensor_faults", lambda v: SensorFaultSpec(
+            time_s=1.0, server_id=0, clear_after_s=v),
+         "SensorFaultSpec.clear_after_s"),
+        ("cooling_faults", lambda v: CoolingFaultSpec(
+            time_s=v, capacity_factor=0.5), "CoolingFaultSpec.time_s"),
+        ("cooling_faults", lambda v: CoolingFaultSpec(
+            time_s=1.0, capacity_factor=v),
+         "CoolingFaultSpec.capacity_factor"),
+        ("cooling_faults", lambda v: CoolingFaultSpec(
+            time_s=1.0, capacity_factor=0.5, restore_after_s=v),
+         "CoolingFaultSpec.restore_after_s"),
+    ])
+    def test_rejects_non_finite_spec_values(self, group, spec, field,
+                                            value):
+        """NaN passes every ``<`` and ``<=`` check, so a NaN fault time
+        used to take its server down from tick 0 (and a NaN repair
+        cancelled its failure) with the engine clock left at NaN."""
+        cfg = FaultConfig(enabled=True, **{group: (spec(value),)})
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be finite"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("field", ("hazard_acceleration", "mtbf_hours",
+                                       "repair_time_s",
+                                       "derate_inlet_rise_c"))
+    def test_rejects_non_finite_scalars(self, field):
+        cfg = FaultConfig(enabled=True, hazard_failures=True,
+                          **{field: float("nan")})
+        with pytest.raises(ConfigurationError,
+                           match=rf"FaultConfig\.{field} must be finite"):
+            cfg.validate()
+
+    def test_nan_fault_time_never_reaches_the_engine(self, small_config):
+        config = _faulted(small_config, kill_servers([1], float("nan")))
+        with pytest.raises(ConfigurationError, match="time_s"):
+            ClusterSimulation(config, make_scheduler("vmt-ta", config))
 
     def test_simulation_config_rejects_out_of_range_server(
             self, small_config):
@@ -230,9 +322,9 @@ class TestScriptedInjection:
         sim = ClusterSimulation(config, make_scheduler("vmt-ta", config))
         injector = sim.fault_injector
         assert injector is not None
-        injector.attach(sim.engine, sim.cluster)
+        injector.attach(sim.engine, sim.cluster, first_tick_s=0.0)
         with pytest.raises(FaultInjectionError):
-            injector.attach(sim.engine, sim.cluster)
+            injector.attach(sim.engine, sim.cluster, first_tick_s=0.0)
 
     def test_dead_servers_draw_no_power(self, small_config):
         config = _faulted(small_config, kill_servers([0, 1, 2], 1.0))
@@ -334,6 +426,60 @@ class TestHazardFailures:
         repaired, _ = with_scripted_fault(60.0)
         assert hazard_only.availability[tick + 2] < 1.0
         assert repaired.availability[tick + 2] == 1.0
+
+    def test_hazard_draws_fire_once_per_step(self, small_config):
+        """One draw per tick, at the tick's own time: the draw queues its
+        successor at ``event.time + step_seconds``, the float sum the
+        tick times accumulate, which at a 59.9 s step is not ``k * dt``."""
+        sim, reliability, tick_times = _clocked_hazard_run(small_config)
+        sim.run()
+        step = sim.trace.step_seconds
+        assert len(tick_times) == sim.trace.num_steps
+        assert reliability.draw_times == tick_times
+        assert tick_times != [k * step for k in range(len(tick_times))]
+
+    def test_restored_run_draws_from_its_next_tick(self, small_config,
+                                                   tmp_path):
+        straight, _, _ = _clocked_hazard_run(
+            small_config, checkpoint_every=37, checkpoint_dir=str(tmp_path))
+        expected = straight.run()
+        sim, reliability, tick_times = _clocked_hazard_run(small_config)
+        sim.restore(load_snapshot(checkpoint_path(str(tmp_path), 74)))
+        assert sim.run().fingerprint() == expected.fingerprint()
+        step = sim.trace.step_seconds
+        assert reliability.draw_times[0] == 74 * step
+        assert reliability.draw_times == tick_times
+
+    def test_detach_cancels_the_queued_draw(self, small_config):
+        sim, reliability, _ = _clocked_hazard_run(small_config)
+        injector = sim.fault_injector
+
+        def queued_draws():
+            repairs = injector.state_dict()["pending_auto_repairs"]
+            return sim.engine.pending_events - len(repairs)
+
+        during = []
+        sim.add_observer(lambda *args: during.append(queued_draws()))
+        sim.run()
+        # Every tick ran with the next draw queued; the run's end
+        # cancels the one past the last tick, leaving only the repairs
+        # due after the end.
+        assert during == [1] * sim.trace.num_steps
+        assert queued_draws() == 0
+        assert len(reliability.draw_times) == sim.trace.num_steps
+
+    def test_repair_due_at_the_next_draw_fires_before_it(self,
+                                                          small_config):
+        """A repair one step after its failure shares the next draw's
+        timestamp.  The draw that failed the server queued the repair
+        before the next draw, so the server is back when that draw
+        runs."""
+        sim, reliability, _ = _clocked_hazard_run(
+            small_config, acceleration=50_000.0, repair_time_s=59.9)
+        sim.run()
+        assert sim.fault_injector.state.failures > 0
+        assert reliability.active_at_draw == (
+            [small_config.num_servers] * sim.trace.num_steps)
 
     def test_zero_acceleration_never_fails(self, small_config):
         config = _faulted(small_config, temperature_hazard(0.0))

@@ -20,13 +20,15 @@ resume from any of them to the straight run's fingerprint.
 
 import glob
 import json
+import random
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from test_kernel_equivalence import assert_state_trees_equal, per_tick
+from test_kernel_equivalence import (GENERATED_EXAMPLES,
+                                     assert_state_trees_equal,
+                                     generated_cases, per_tick)
 
 from repro import api
 from repro.cluster.simulation import ClusterSimulation, run_simulation
@@ -593,19 +595,19 @@ class TestSegmentPlanning:
         assert report.result.fingerprint() == batch.fingerprint()
 
 
-@st.composite
-def live_cases(draw):
+def live_case(index: int):
     """(servers, hours, gv, cadence, policy, forecaster, feed, horizon,
-    seed, every) of one live run; ``horizon`` None runs no MPC, and
-    ``every`` None writes no checkpoints."""
-    return (draw(st.integers(4, 16)), draw(st.integers(1, 6)),
-            draw(st.floats(1.0, 36.0)), draw(st.integers(1, 90)),
-            draw(st.sampled_from(sorted(SCHEDULER_NAMES))),
-            draw(st.sampled_from(("oracle", "last-value"))),
-            draw(st.sampled_from(("replay", "synthetic"))),
-            draw(st.none() | st.integers(5, 60)),
-            draw(st.integers(0, 99)),
-            draw(st.none() | st.integers(1, 90)))
+    seed, every) of generated live run ``index``; ``horizon`` None runs
+    no MPC, and ``every`` None writes no checkpoints.  The policy cycles
+    through all five and the seed is the index (see
+    :func:`~test_kernel_equivalence.generated_cases`)."""
+    rng = random.Random(index)
+    policy = SCHEDULER_NAMES[index % len(SCHEDULER_NAMES)]
+    return (rng.randint(4, 16), rng.randint(1, 6), rng.uniform(1.0, 36.0),
+            rng.randint(1, 90), policy, rng.choice(("oracle", "last-value")),
+            rng.choice(("replay", "synthetic")),
+            rng.choice((None, rng.randint(5, 60))), index,
+            rng.choice((None, rng.randint(1, 90))))
 
 
 class TestGeneratedLiveDifferential:
@@ -615,8 +617,9 @@ class TestGeneratedLiveDifferential:
     one of them == the straight run.  With the oracle over a replay feed
     and no MPC: == the batch run on the per-tick chain."""
 
-    @given(case=live_cases())
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=generated_cases(live_case))
+    @settings(max_examples=GENERATED_EXAMPLES, deadline=None,
+              derandomize=True)
     @example(case=(6, 1, 22.0, 1, "vmt-ta", "last-value", "replay", 5, 3,
                    None))
     # Hot group sizes 0 and n of 8 servers (Eq. 1, PMT 35.7 C).

@@ -6,63 +6,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Event, EventQueue, PeriodicProcess, RngStreams
+from repro.sim import Engine, RngStreams
 
 
 class TestEventQueue:
+    """The engine's event heap: dispatch order, ties, cancellation and
+    the rejection of times before the clock."""
+
     def test_pop_returns_events_in_time_order(self):
-        queue = EventQueue()
+        engine = Engine()
         fired = []
         for time in (5.0, 1.0, 3.0):
-            queue.push(Event(time=time, callback=fired.append))
-        times = [queue.pop().time for __ in range(3)]
-        assert times == [1.0, 3.0, 5.0]
+            engine.schedule_at(time, lambda e: fired.append(e.time))
+        engine.run_until(10.0)
+        assert fired == [1.0, 3.0, 5.0]
 
     def test_ties_break_by_priority_then_insertion(self):
-        queue = EventQueue()
+        engine = Engine()
         order = []
-        queue.push(Event(time=1.0, callback=lambda e: order.append("b"),
-                         priority=1))
-        queue.push(Event(time=1.0, callback=lambda e: order.append("a"),
-                         priority=0))
-        queue.push(Event(time=1.0, callback=lambda e: order.append("c"),
-                         priority=1))
-        while len(queue):
-            queue.pop().fire()
+        engine.schedule_at(1.0, lambda e: order.append("b"), priority=1)
+        engine.schedule_at(1.0, lambda e: order.append("a"), priority=0)
+        engine.schedule_at(1.0, lambda e: order.append("c"), priority=1)
+        engine.run_until(1.0)
         assert order == ["a", "b", "c"]
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        keep = Event(time=2.0, callback=lambda e: None, name="keep")
-        drop = queue.push(Event(time=1.0, callback=lambda e: None))
-        queue.push(keep)
-        drop.cancel()
-        assert queue.pop() is keep
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(Event(time=1.0, callback=lambda e: None))
-        queue.push(Event(time=2.0, callback=lambda e: None))
-        first.cancel()
-        assert queue.peek_time() == 2.0
+        engine = Engine()
+        fired = []
+        drop = engine.schedule_at(1.0, lambda e: fired.append("drop"))
+        engine.schedule_at(2.0, lambda e: fired.append("keep"))
+        engine.cancel(drop)
+        engine.run_until(10.0)
+        assert fired == ["keep"]
+        assert engine.events_dispatched == 1
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
-            EventQueue().push(Event(time=-1.0, callback=lambda e: None))
+            Engine().schedule_at(-1.0, lambda e: None)
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1,
                     max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_property_pop_order_is_sorted(self, times):
-        queue = EventQueue()
+        engine = Engine()
+        fired = []
         for t in times:
-            queue.push(Event(time=t, callback=lambda e: None))
-        popped = [queue.pop().time for __ in range(len(times))]
-        assert popped == sorted(popped)
+            engine.schedule_at(t, lambda e: fired.append(e.time))
+        engine.run_until(1e6)
+        assert fired == sorted(times)
 
 
 class TestEngine:
@@ -91,9 +82,14 @@ class TestEngine:
         with pytest.raises(SimulationError):
             engine.schedule_at(50.0, lambda e: None)
 
-    def test_schedule_after_negative_delay_raises(self):
+    def test_nan_times_rejected(self):
+        engine = Engine()
         with pytest.raises(SimulationError):
-            Engine().schedule_after(-1.0, lambda e: None)
+            engine.schedule_at(float("nan"), lambda e: None)
+        with pytest.raises(SimulationError):
+            engine.run_until(float("nan"))
+        assert engine.now == 0.0
+        assert engine.pending_events == 0
 
     def test_events_can_schedule_events(self):
         engine = Engine()
@@ -102,61 +98,39 @@ class TestEngine:
         def chain(event):
             seen.append(engine.now)
             if engine.now < 3.0:
-                engine.schedule_after(1.0, chain)
+                engine.schedule_at(event.time + 1.0, chain)
 
         engine.schedule_at(1.0, chain)
-        engine.run()
+        engine.run_until(10.0)
         assert seen == [1.0, 2.0, 3.0]
-
-    def test_stop_halts_dispatch(self):
-        engine = Engine()
-        seen = []
-        engine.schedule_at(1.0, lambda e: (seen.append(1), engine.stop()))
-        engine.schedule_at(2.0, lambda e: seen.append(2))
-        engine.run()
-        assert seen == [1]
-
-    def test_reset_rewinds_clock_and_clears_queue(self):
-        engine = Engine()
-        engine.schedule_at(5.0, lambda e: None)
-        engine.run_until(3.0)
-        engine.reset()
-        assert engine.now == 0.0
-        assert engine.pending_events == 0
 
     def test_events_dispatched_counter(self):
         engine = Engine()
         for t in range(5):
             engine.schedule_at(float(t), lambda e: None)
-        engine.run()
+        engine.run_until(4.0)
         assert engine.events_dispatched == 5
 
-    def test_stop_during_run_until_keeps_clock_at_last_event(self):
-        """Regression: stop() mid-run must not jump the clock to end_time.
-
-        The clock jumping past undispatched events made them impossible
-        to re-schedule (schedule-in-the-past) after an early stop.
-        """
-        engine = Engine()
-        engine.schedule_at(1.0, lambda e: engine.stop())
-        engine.schedule_at(2.0, lambda e: None)
-        engine.run_until(100.0)
-        assert engine.now == 1.0
-        assert engine.pending_events == 1
-        engine.run_until(100.0)  # resumes cleanly past the stop
-        assert engine.now == 100.0
-        assert engine.pending_events == 0
-
     def test_pending_events_excludes_cancelled(self):
-        """Regression: the gauge counted tombstones as pending work."""
         engine = Engine()
         keep = engine.schedule_at(1.0, lambda e: None)
         drop = engine.schedule_at(2.0, lambda e: None)
         assert engine.pending_events == 2
-        drop.cancel()
+        engine.cancel(drop)
         assert engine.pending_events == 1
-        keep.cancel()
+        engine.cancel(keep)
         assert engine.pending_events == 0
+
+    def test_cancel_after_dispatch_is_a_no_op(self):
+        engine = Engine()
+        fired = engine.schedule_at(1.0, lambda e: None)
+        later = engine.schedule_at(2.0, lambda e: None)
+        engine.run_until(1.0)
+        engine.cancel(fired)
+        assert engine.pending_events == 1
+        engine.cancel(later)
+        engine.run_until(5.0)
+        assert engine.events_dispatched == 1
 
     def test_state_dict_roundtrip(self):
         engine = Engine()
@@ -176,49 +150,6 @@ class TestEngine:
         busy.schedule_at(1.0, lambda e: None)
         with pytest.raises(SimulationError):
             busy.load_state_dict(state)
-
-
-class TestPeriodicProcess:
-    def test_fires_at_fixed_period(self):
-        engine = Engine()
-        ticks = []
-        PeriodicProcess(engine, 60.0, ticks.append)
-        engine.run_until(300.0)
-        assert ticks == [0.0, 60.0, 120.0, 180.0, 240.0, 300.0]
-
-    def test_stop_cancels_future_ticks(self):
-        engine = Engine()
-        ticks = []
-        process = PeriodicProcess(engine, 10.0, ticks.append)
-        engine.run_until(25.0)
-        process.stop()
-        engine.run_until(100.0)
-        assert ticks == [0.0, 10.0, 20.0]
-        assert process.ticks == 3
-
-    def test_stop_from_inside_callback(self):
-        engine = Engine()
-        ticks = []
-
-        def tick(now):
-            ticks.append(now)
-            if len(ticks) == 2:
-                process.stop()
-
-        process = PeriodicProcess(engine, 5.0, tick)
-        engine.run_until(100.0)
-        assert ticks == [0.0, 5.0]
-
-    def test_start_at_offsets_first_tick(self):
-        engine = Engine()
-        ticks = []
-        PeriodicProcess(engine, 10.0, ticks.append, start_at=7.0)
-        engine.run_until(30.0)
-        assert ticks == [7.0, 17.0, 27.0]
-
-    def test_zero_period_rejected(self):
-        with pytest.raises(SimulationError):
-            PeriodicProcess(Engine(), 0.0, lambda now: None)
 
 
 class TestRngStreams:

@@ -29,15 +29,15 @@ class EngineMachine(RuleBasedStateMachine):
         self.seq += 1
         ident = self.seq
         time = self.engine.now + delay
-        event = self.engine.schedule_after(
-            delay, lambda ev, i=ident: self.fired.append(i))
+        event = self.engine.schedule_at(
+            time, lambda ev, i=ident: self.fired.append(i))
         self.expected.append([time, self.seq, ident, False])
         return (event, ident)
 
     @rule(item=events)
     def cancel(self, item):
         event, ident = item
-        event.cancel()
+        self.engine.cancel(event)
         for record in self.expected:
             if record[2] == ident:
                 record[3] = True
@@ -61,8 +61,8 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(advance=st.floats(min_value=0.0, max_value=50.0))
     def advance_to(self, advance):
-        # The live-streaming spelling must honor the identical contract
-        # under arbitrary interleaving with run_until.
+        # The alias must honor the identical contract under arbitrary
+        # interleaving with run_until.
         self._advance(self.engine.now + advance, self.engine.advance_to)
 
     @invariant()
@@ -75,35 +75,11 @@ TestEngineStateful.settings = __import__("hypothesis").settings(
     max_examples=30, stateful_step_count=30, deadline=None)
 
 
-class TestAdvanceStopSnapshotInterleave:
-    """Regression: the PR 5 stop()/clock-jump contract must hold across
-    many ``advance_to`` re-entries, interleaved with snapshot/resume."""
+class TestAdvanceSnapshotInterleave:
+    """Snapshot and resume between ``advance_to`` calls dispatch what one
+    straight run dispatches."""
 
-    def test_stop_holds_clock_per_call_across_reentries(self):
-        engine = Engine()
-        fired = []
-        # One stopper and one bystander per 10s slice, for 10 slices.
-        for k in range(10):
-            t = 10.0 * k + 1.0
-            engine.schedule_at(
-                t, lambda ev, k=k: (fired.append(("stop", k)),
-                                    engine.stop()))
-            engine.schedule_at(
-                t + 1.0, lambda ev, k=k: fired.append(("after", k)))
-        for k in range(10):
-            end = 10.0 * (k + 1)
-            engine.advance_to(end)
-            # The stopper halted this slice: the clock must sit at the
-            # stop event, never jump past the undispatched bystander.
-            assert engine.now == 10.0 * k + 1.0
-            assert fired[-1] == ("stop", k)
-            # Re-advancing to the same end drains what the stop left.
-            engine.advance_to(end)
-            assert engine.now == end
-            assert fired[-1] == ("after", k)
-        assert len(fired) == 20
-
-    def test_snapshot_resume_interleaved_with_advance_and_stop(self):
+    def test_snapshot_resume_interleaved_with_advance(self):
         def build(record):
             engine = Engine()
             for k in range(6):
@@ -119,7 +95,6 @@ class TestAdvanceStopSnapshotInterleave:
         fired = []
         engine = build(fired)
         engine.advance_to(7.0)
-        engine.stop()  # no-op outside the loop; must not corrupt state
         engine.advance_to(12.0)
         state = engine.state_dict()
         assert state["now_s"] == 12.0
@@ -128,7 +103,7 @@ class TestAdvanceStopSnapshotInterleave:
         resumed = Engine()
         resumed.load_state_dict(state)
         # Snapshots are only taken at quiescent boundaries: the owner
-        # re-schedules its pending events, exactly like the tick process.
+        # re-schedules its pending events, as the fault injector does.
         for k in range(6):
             t = 5.0 * k + 0.5
             if t > resumed.now:
