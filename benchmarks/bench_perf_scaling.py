@@ -18,10 +18,8 @@ itself:
   hot-group size and the share of ticks whose demand overflows a group
   (those ticks take the spill passes);
 * **sweep wall-clock** -- a GV sweep through the
-  :class:`~repro.perf.runner.ExperimentRunner` run serially, through
-  the process pool, and through the thread pool (threads share the
-  parent's read-only trace arrays, so they pair well with the planned
-  kernel's release of the GIL inside numpy).
+  :class:`~repro.perf.runner.ExperimentRunner` run serially and through
+  the process pool.
 
 All timings follow :mod:`repro.perf.timing`: one untimed warm-up per
 case, then best-of-``--repeats`` with the cases interleaved round-robin
@@ -192,29 +190,26 @@ def measure_sweep_points(num_servers: int, points: int, seed: int,
 
 def measure_sweep(num_servers: int, points: int, workers: int, seed: int,
                   repeats: int) -> dict:
-    """Time one GV sweep serially vs the process and thread pools."""
+    """Time one GV sweep serially vs the process pool."""
     gvs = sweep_gvs(points)
 
-    def run_mode(max_workers, workers_mode):
+    def run_mode(max_workers):
         clear_shared_cache()
         elapsed, sweep = time_call(lambda: gv_sweep(
             gvs, policies=("vmt-ta",), num_servers=num_servers,
-            seed=seed, max_workers=max_workers,
-            workers_mode=workers_mode))
+            seed=seed, max_workers=max_workers))
         return {"wall_s": elapsed, "sweep": sweep}
 
     best = interleaved_best(
         {
-            "serial": lambda: run_mode(1, "process"),
-            "process": lambda: run_mode(workers, "process"),
-            "thread": lambda: run_mode(workers, "thread"),
+            "serial": lambda: run_mode(1),
+            "process": lambda: run_mode(workers),
         },
         repeats=repeats, key="wall_s")
     serial = best["serial"]
     identical = all(
         (serial["sweep"].reductions[p] ==
-         best[mode]["sweep"].reductions[p]).all()
-        for mode in ("process", "thread")
+         best["process"]["sweep"].reductions[p]).all()
         for p in serial["sweep"].reductions)
     payload = {
         "points": points,
@@ -224,16 +219,11 @@ def measure_sweep(num_servers: int, points: int, workers: int, seed: int,
         "bit_identical": bool(identical),
         "modes": {},
     }
-    for mode in ("serial", "process", "thread"):
+    for mode in ("serial", "process"):
         payload["modes"][mode] = {
             "wall_s": best[mode]["wall_s"],
             "speedup_vs_serial": serial["wall_s"] / best[mode]["wall_s"],
         }
-    # The shared-memory claim: threads vs processes at equal worker
-    # count (on a single-core host neither can beat serial, but thread
-    # mode skips the fork + pickle + per-process trace rebuild).
-    payload["thread_vs_process"] = (best["process"]["wall_s"]
-                                    / best["thread"]["wall_s"])
     return payload
 
 
@@ -309,7 +299,7 @@ def main() -> int:
     ok = ok and points["all_planned"]
 
     print(f"sweep: {args.points} GV points, "
-          f"serial vs {args.workers} process/thread workers ...")
+          f"serial vs {args.workers} process workers ...")
     sweep = measure_sweep(args.servers, args.points, args.workers,
                           args.seed, args.repeats)
     for mode, timing in sweep["modes"].items():

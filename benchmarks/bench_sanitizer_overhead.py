@@ -1,6 +1,6 @@
 """Sanitizer overhead benchmark: checks="cheap"/"full" vs "off".
 
-Measures, with the :class:`~repro.perf.profiler.TickProfiler`, how much
+Measures, from a profiled run's ``SimulationResult.profile``, how much
 the invariant sanitizer adds to the tick loop.  The acceptance bar is
 **cheap adds < 10% to the instrumented tick-loop time**; full mode is
 measured too but is expected (and allowed) to cost more -- it audits
@@ -9,7 +9,7 @@ not for inner-loop sweeps.
 
 Three numbers per level:
 
-* ``checks_overhead`` -- the profiler's ``checks`` section over the rest
+* ``checks_overhead`` -- the profile's ``checks`` section over the rest
   of the same run's instrumented sections,
   ``checks_s / (tick_loop_s - checks_s)`` (the acceptance metric).  It
   sums the sections the cross-run number sums, but both sides come
@@ -45,7 +45,6 @@ import os
 from repro.config import TraceConfig, paper_cluster_config
 from repro.core.policies import make_scheduler
 from repro.cluster.simulation import ClusterSimulation
-from repro.perf.profiler import TickProfiler
 from repro.perf.timing import interleaved_best
 
 LEVELS = ("off", "cheap", "full")
@@ -60,19 +59,18 @@ def profile_level(num_servers: int, hours: float, seed: int, policy: str,
     """One profiled run; returns section totals and the fingerprint."""
     config = paper_cluster_config(num_servers=num_servers, seed=seed)
     config = config.replace(trace=TraceConfig(duration_hours=hours))
-    profiler = TickProfiler()
     sim = ClusterSimulation(config, make_scheduler(policy, config),
-                            record_heatmaps=False, profiler=profiler,
+                            record_heatmaps=False, profile=True,
                             checks=checks)
     sim.add_observer(_noop_observer)
     result = sim.run()
-    timings = profiler.timings()
-    loop_s = sum(t.total_s for t in timings.values())
-    checks_s = timings["checks"].total_s if "checks" in timings else 0.0
+    timings = result.profile
+    loop_s = sum(t["total_s"] for t in timings.values())
+    checks_s = timings["checks"]["total_s"] if "checks" in timings else 0.0
     return {
         "tick_loop_s": loop_s,
         "checks_s": checks_s,
-        "ticks": profiler.ticks,
+        "ticks": len(result.times_s),
         "fingerprint": result.fingerprint(),
     }
 

@@ -130,10 +130,8 @@ def gv_sweep(grouping_values: Sequence[float], *,
     Every sweep point shares one generated trace (they only differ in
     GV, which the trace does not depend on), and ``max_workers`` > 1
     runs the points in parallel without changing a single output bit.
-    ``workers_mode="thread"`` swaps the process pool for threads that
-    share the parent's read-only trace arrays (pairs well with the
-    planned kernel's whole-run numpy work); ``backend`` is retired:
-    validated, and it selects nothing.
+    ``workers_mode`` and ``backend`` are retired: validated, and they
+    select nothing.
     With ``telemetry`` (a directory), every sweep point writes its own
     trace/metrics/manifest bundle there, labeled by policy and GV.
     """

@@ -53,9 +53,10 @@ from .io import save_result
 from .kernel import BACKENDS
 from .workloads.workload import WORKLOAD_LIST
 
-#: ``--backend`` is retired: still accepted (and validated), it selects
-#: nothing -- a clean open-loop run is planned, every other run steps.
-_BACKEND_HELP = "accepted and ignored (retired)"
+#: ``--backend`` and ``--workers-mode`` are retired: still accepted (and
+#: validated), they select nothing -- a clean open-loop run is planned,
+#: every other run steps, and parallel sweeps take the process pool.
+_RETIRED_HELP = "accepted and ignored (retired)"
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
@@ -321,22 +322,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .cluster.simulation import ClusterSimulation
-    from .perf.profiler import TickProfiler
     config = _config_from(args)
-    profiler = TickProfiler()
     sim = ClusterSimulation(config, make_scheduler(args.policy, config),
-                            record_heatmaps=False, profiler=profiler)
+                            record_heatmaps=False, profile=True)
     result = sim.run()
     print(f"kernel path: {sim.kernel_path}\n")
-    timings = profiler.timings().values()
-    total_s = sum(t.total_s for t in timings)
-    rows = [(t.name, f"{t.calls}", f"{t.total_s * 1e3:.1f}",
-             f"{t.mean_us:.1f}",
-             f"{t.total_s / total_s * 100:.1f}%" if total_s > 0 else "--")
-            for t in timings]
+    total_s = sum(t["total_s"] for t in result.profile.values())
+    rows = [(name, f"{t['calls']}", f"{t['total_s'] * 1e3:.1f}",
+             f"{t['total_s'] / t['calls'] * 1e6:.1f}",
+             f"{t['total_s'] / total_s * 100:.1f}%" if total_s > 0 else "--")
+            for name, t in result.profile.items()]
     print(format_table(
         ["subsystem", "calls", "total (ms)", "mean (us)", "share"], rows))
-    ticks = profiler.ticks
+    ticks = len(result.times_s)
     if ticks and total_s > 0:
         print(f"\n{ticks} ticks, {ticks / total_s:,.0f} ticks/sec "
               f"(instrumented sections only)")
@@ -663,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="invariant sanitizer level (default: the "
                           "REPRO_CHECKS environment variable, else off)")
     run.add_argument("--backend", choices=BACKENDS, default=None,
-                     help=_BACKEND_HELP)
+                     help=_RETIRED_HELP)
     run.add_argument("--checkpoint-every", type=int, metavar="N",
                      help="write a resumable snapshot every N ticks "
                           "(requires --checkpoint-dir)")
@@ -859,11 +857,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the sweep points "
                             "(default 1 = serial; 0 = all cores)")
     sweep.add_argument("--workers-mode", choices=("process", "thread"),
-                       default="process",
-                       help="pool flavor for parallel sweeps: thread "
-                            "workers share the read-only trace arrays")
+                       default="process", help=_RETIRED_HELP)
     sweep.add_argument("--backend", choices=BACKENDS, default=None,
-                       help=_BACKEND_HELP)
+                       help=_RETIRED_HELP)
     sweep.add_argument("--telemetry", metavar="DIR",
                        help="write one telemetry bundle per sweep point "
                             "into this directory")
@@ -879,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--policy", choices=SCHEDULER_NAMES,
                          default="vmt-ta")
     profile.add_argument("--backend", choices=BACKENDS, default=None,
-                         help=_BACKEND_HELP)
+                         help=_RETIRED_HELP)
     profile.set_defaults(func=_cmd_profile)
 
     trace = sub.add_parser("trace", help="show the two-day trace")

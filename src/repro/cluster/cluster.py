@@ -31,7 +31,6 @@ from ..sim.rng import RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.state import FaultState
-    from ..perf.profiler import TickProfiler
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -47,6 +46,7 @@ from ..thermal.server_thermal import ServerAirModel
 from ..thermal.throttling import CPUThermalModel
 from ..thermal.wax_estimator import WaxStateEstimator
 from ..workloads.workload import WORKLOAD_LIST
+from .metrics import Profile, add_timing
 from .state import ClusterView
 
 
@@ -58,18 +58,20 @@ class Cluster:
     power and accept no jobs, sensor faults corrupt the readings handed
     to the scheduler and the wax estimator, and a cooling derate warms
     every inlet.  Without one, every code path is identical to the
-    fault-free build.
+    fault-free build.  ``profile`` is a profiled run's timing dict:
+    :meth:`step` adds its ``air_model``, ``pcm`` and ``estimator``
+    sections to it.
     """
 
     def __init__(self, config: SimulationConfig,
                  rng_streams: Optional[RngStreams] = None, *,
                  fault_state: Optional["FaultState"] = None,
-                 profiler: Optional["TickProfiler"] = None) -> None:
+                 profile: Optional[Profile] = None) -> None:
         config.validate()
         self._config = config
         self._n = config.num_servers
         self._faults = fault_state
-        self._profiler = profiler
+        self._profile = profile
         streams = rng_streams if rng_streams is not None \
             else RngStreams(config.seed)
 
@@ -368,18 +370,18 @@ class Cluster:
             self._power_w = np.where(faults.active, self._power_w, 0.0)
             self._dynamic_w = np.where(faults.active, dynamic, 0.0)
 
-        prof = self._profiler
+        prof = self._profile
         mark = time.perf_counter() if prof is not None else 0.0
         t_air = self._air.step(self._power_w, dt_s)
         if prof is not None:
             now = time.perf_counter()
-            prof.add("air_model", now - mark)
+            add_timing(prof, "air_model", now - mark)
             mark = now
         self._last_q_wax = self._pcm.step(
             t_air, self._config.thermal.ha_w_per_k, dt_s)
         if prof is not None:
             now = time.perf_counter()
-            prof.add("pcm", now - mark)
+            add_timing(prof, "pcm", now - mark)
             mark = now
         estimator_input = t_air
         if faults is not None:
@@ -398,7 +400,7 @@ class Cluster:
         if np.any(anchored):
             self._estimator.correct(truth, mask=anchored)
         if prof is not None:
-            prof.add("estimator", time.perf_counter() - mark)
+            add_timing(prof, "estimator", time.perf_counter() - mark)
         self._last_melt_fraction = truth
         self._time_s += dt_s
 

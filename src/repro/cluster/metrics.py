@@ -40,6 +40,23 @@ _SCALAR_SERIES = (
 #: Default buffer size when the caller cannot predict the tick count.
 _DEFAULT_CAPACITY = 1024
 
+#: A profiled run's timings, ``{section: {"calls", "total_s"}}``: the
+#: per-tick driver's ``placement``, ``air_model``, ``pcm``, ``estimator``
+#: and ``metrics`` (plus ``checks`` under a sanitizer), or the planned
+#: kernel's ``kernel_plan``, ``kernel_fused_step``,
+#: ``kernel_metrics_write`` and ``dispatch``.
+Profile = Dict[str, Dict[str, float]]
+
+
+def add_timing(profile: Profile, section: str, elapsed_s: float) -> None:
+    """Count one call of ``section`` that took ``elapsed_s`` seconds."""
+    timing = profile.get(section)
+    if timing is None:
+        profile[section] = {"calls": 1, "total_s": elapsed_s}
+    else:
+        timing["calls"] += 1
+        timing["total_s"] += elapsed_s
+
 
 class MetricsCollector:
     """Accumulates per-tick series during a simulation run.
@@ -250,7 +267,7 @@ class MetricsCollector:
 
     def finish(self, config: SimulationConfig, scheduler_name: str,
                recovery_times_s: Optional[List[float]] = None,
-               profile: Optional[Dict[str, Any]] = None
+               profile: Optional[Profile] = None
                ) -> "SimulationResult":
         """Freeze the collected series into a result object."""
         if self._size == 0:
@@ -298,10 +315,11 @@ class SimulationResult:
     recovery_times_s: Optional[np.ndarray] = None
     temp_heatmap: Optional[np.ndarray] = None
     melt_heatmap: Optional[np.ndarray] = None
-    #: Per-subsystem tick timings (``TickProfiler.snapshot()``) when the
-    #: run was profiled; ``None`` otherwise.  Wall-clock only -- never
-    #: part of the simulated state or the fingerprint.
-    profile: Optional[Dict[str, Dict[str, float]]] = None
+    #: Per-section tick timings (``{section: {"calls", "total_s"}}``,
+    #: see :func:`add_timing`) when the run was profiled; ``None``
+    #: otherwise.  Wall-clock only -- never part of the simulated state
+    #: or the fingerprint.
+    profile: Optional[Profile] = None
 
     #: Array fields hashed by :meth:`fingerprint`, in hashing order.
     FINGERPRINT_FIELDS = (

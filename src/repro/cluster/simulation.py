@@ -36,11 +36,10 @@ from ..sim.engine import Engine
 from ..sim.rng import RngStreams
 from ..workloads.trace import TraceMatrix, TwoDayTrace
 from .cluster import Cluster
-from .metrics import MetricsCollector, SimulationResult
+from .metrics import MetricsCollector, Profile, SimulationResult, add_timing
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.registry import MetricRegistry
-    from ..perf.profiler import TickProfiler
     from ..perf.runner import Deadline
 
 #: Observer signature: (time_s, demand_vector, placement, cluster).
@@ -53,13 +52,17 @@ class ClusterSimulation:
     Observers registered with :meth:`add_observer` are called after every
     tick with ``(time_s, demand, placement, cluster)`` -- the extension
     point for QoS monitoring, custom metrics, or live controllers.
+
+    ``profile=True`` times the tick's sections
+    (:func:`~repro.cluster.metrics.add_timing`) into one dict that lands
+    on ``SimulationResult.profile``.
     """
 
     def __init__(self, config: SimulationConfig, scheduler: Scheduler, *,
                  trace: Optional[TraceMatrix] = None,
                  record_heatmaps: bool = True,
                  fault_injector: Optional["FaultInjector"] = None,
-                 profiler: Optional["TickProfiler"] = None,
+                 profile: bool = False,
                  telemetry: TelemetryLike = None,
                  checks: Optional[str] = None,
                  backend: Optional[str] = None,
@@ -94,20 +97,14 @@ class ClusterSimulation:
         self._fault_state = fault_state
         self._telemetry = Telemetry.coerce(telemetry)
         if self._telemetry is not None and not self._telemetry.bound:
-            self._telemetry.use_profiler(profiler)
             self._telemetry.bind(
                 f"{scheduler.name}-n{config.num_servers}"
                 f"-seed{config.seed}",
                 capacity=config.trace.num_steps)
-        if self._telemetry is not None and profiler is None:
-            # A telemetry bundle built with profile=True carries its own
-            # profiler; adopt it so profiling and metrics share one
-            # snapshot path.
-            profiler = self._telemetry.profiler
-        self._profiler = profiler
+        self._profile: Optional[Profile] = {} if profile else None
         self._cluster = Cluster(config, self._streams,
                                 fault_state=fault_state,
-                                profiler=profiler)
+                                profile=self._profile)
         self._scheduler = scheduler
         if trace is None:
             trace = TwoDayTrace(config.trace).generate(
@@ -265,26 +262,24 @@ class ClusterSimulation:
             # the tick, unwinding through the driver -- works on any
             # thread, unlike the SIGALRM scheme this replaced.
             self._deadline.check()
-        prof = self._profiler
+        prof = self._profile
         tick_start = (time.perf_counter()
                       if self._obs_tracer is not None
                       and self._obs_tracer.enabled else 0.0)
         demand = self._trace.demand_at(self._step_index)
         displaced = self._displaced_this_tick()
         view = self._cluster.view()
-        if prof is None:
-            placement = self._scheduler.place(demand, view)
-        else:
-            mark = time.perf_counter()
-            placement = self._scheduler.place(demand, view)
-            prof.add("placement", time.perf_counter() - mark)
+        mark = time.perf_counter() if prof is not None else 0.0
+        placement = self._scheduler.place(demand, view)
+        if prof is not None:
+            add_timing(prof, "placement", time.perf_counter() - mark)
         sanitizer = self._sanitizer
         if sanitizer is not None:
             mark = time.perf_counter() if prof is not None else 0.0
             sanitizer.check_placement(self._step_index, now_s, demand,
                                       view, placement)
             if prof is not None:
-                prof.add("checks", time.perf_counter() - mark)
+                add_timing(prof, "checks", time.perf_counter() - mark)
         if self._fault_state is not None:
             # The full demand (including any displaced jobs) has been
             # re-placed on surviving servers: pending failures recovered.
@@ -308,14 +303,13 @@ class ClusterSimulation:
                                      else faults.cooling_factor),
         )
         if prof is not None:
-            prof.add("metrics", time.perf_counter() - mark)
-            prof.count_tick()
+            add_timing(prof, "metrics", time.perf_counter() - mark)
         if sanitizer is not None:
             mark = time.perf_counter() if prof is not None else 0.0
             sanitizer.check_state(self._step_index, now_s,
                                   self._trace.step_seconds)
             if prof is not None:
-                prof.add("checks", time.perf_counter() - mark)
+                add_timing(prof, "checks", time.perf_counter() - mark)
         if self._obs_registry is not None:
             self._obs_registry.snapshot_tick(self._cluster.time_s)
             if self._obs_tracer.enabled:
@@ -537,13 +531,11 @@ class ClusterSimulation:
 
     def _finish(self, wall_start: float) -> SimulationResult:
         """The epilogue a run and a stream share: result, then telemetry."""
-        profile = (self._profiler.snapshot()
-                   if self._profiler is not None else None)
         result = self._metrics.finish(
             self._config, self._scheduler.name,
             recovery_times_s=(self._fault_state.recovery_times_s
                               if self._injector is not None else None),
-            profile=profile)
+            profile=self._profile)
         if self._telemetry is not None:
             if self._obs_tracer.enabled:
                 self._obs_tracer.event("run-end", self._cluster.time_s,
@@ -613,7 +605,7 @@ def run_simulation(config: SimulationConfig, scheduler: Scheduler, *,
                    trace: Optional[TraceMatrix] = None,
                    record_heatmaps: bool = True,
                    fault_injector: Optional["FaultInjector"] = None,
-                   profiler: Optional["TickProfiler"] = None,
+                   profile: bool = False,
                    telemetry: TelemetryLike = None,
                    checks: Optional[str] = None,
                    backend: Optional[str] = None,
@@ -628,7 +620,7 @@ def run_simulation(config: SimulationConfig, scheduler: Scheduler, *,
     return ClusterSimulation(config, scheduler, trace=trace,
                              record_heatmaps=record_heatmaps,
                              fault_injector=fault_injector,
-                             profiler=profiler,
+                             profile=profile,
                              telemetry=telemetry,
                              checks=checks,
                              checkpoint_every=checkpoint_every,

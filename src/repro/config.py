@@ -23,6 +23,17 @@ from typing import Any, Dict, Optional, Tuple
 from .errors import ConfigurationError
 
 
+def _require_finite(spec) -> None:
+    """Raise :class:`ConfigurationError` naming ``spec``'s first numeric
+    field that is NaN or infinite (NaN passes every ``<``/``<=`` check)."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ConfigurationError(
+                f"{type(spec).__name__}.{f.name} must be finite, "
+                f"got {value}")
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Physical and electrical description of one server (Section IV-A)."""
@@ -39,6 +50,7 @@ class ServerConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.sockets <= 0 or self.cores_per_socket <= 0:
             raise ConfigurationError("server must have at least one core")
         if self.idle_power_w < 0:
@@ -75,6 +87,7 @@ class WaxConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.volume_liters < 0:
             raise ConfigurationError("wax volume must be non-negative")
         if self.density_kg_per_m3 <= 0:
@@ -122,6 +135,7 @@ class ThermalConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.r_air_c_per_w <= 0:
             raise ConfigurationError("air thermal resistance must be positive")
         if self.tau_air_s <= 0:
@@ -218,6 +232,7 @@ class BatteryConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.capacity_kwh < 0:
             raise ConfigurationError("battery capacity must be >= 0")
         if self.max_charge_kw < 0 or self.max_discharge_kw < 0:
@@ -253,6 +268,7 @@ class DemandEventSpec:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.kind not in DEMAND_EVENT_KINDS:
             raise ConfigurationError(
                 f"demand event kind must be one of {DEMAND_EVENT_KINDS}")
@@ -295,6 +311,7 @@ class TraceConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.duration_hours <= 0:
             raise ConfigurationError("trace duration must be positive")
         if self.step_seconds <= 0:
@@ -335,6 +352,7 @@ class SchedulerConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.grouping_value <= 0:
             raise ConfigurationError("grouping value must be positive")
         if not 0.0 < self.wax_threshold <= 1.0:
@@ -360,6 +378,7 @@ class AmbientEventSpec:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.start_hour < 0 or self.end_hour <= self.start_hour:
             raise ConfigurationError(
                 "ambient event needs 0 <= start_hour < end_hour")
@@ -393,6 +412,7 @@ class AmbientConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on nonsensical values."""
+        _require_finite(self)
         if self.diurnal_amplitude_c < 0:
             raise ConfigurationError(
                 "diurnal amplitude must be >= 0 (use events for cold "
@@ -451,17 +471,6 @@ SENSOR_TARGETS = ("air", "wax")
 
 #: Supported sensor fault modes (see ``repro.server.sensors``).
 SENSOR_FAULT_MODES = ("stuck", "dropout", "drift")
-
-
-def _require_finite(spec) -> None:
-    """Raise :class:`ConfigurationError` naming ``spec``'s first numeric
-    field that is NaN or infinite (NaN passes every ``<``/``<=`` check)."""
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise ConfigurationError(
-                f"{type(spec).__name__}.{f.name} must be finite, "
-                f"got {value}")
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..cluster.metrics import add_timing
 from ..cluster.state import ClusterView
 from ..core.round_robin import RoundRobinScheduler
 from ..core.vmt_ta import VMTThermalAwareScheduler
@@ -337,7 +338,7 @@ def advance(sim, t1: int) -> None:
     the rows have arrived
     (:meth:`~repro.cluster.simulation.ClusterSimulation._advance`).
     """
-    prof = sim._profiler
+    prof = sim._profile
     clock = time.perf_counter
     setup_start = clock()
     # The planned kernel bypasses ClusterSimulation._tick (where the
@@ -513,12 +514,11 @@ def advance(sim, t1: int) -> None:
     sim._next_tick_s = t1 * dt
 
     if prof is not None:
-        prof.add("kernel_plan", plan_elapsed)
-        prof.add("kernel_fused_step", step_elapsed)
-        prof.add("kernel_metrics_write", metrics_elapsed)
-        prof.add("dispatch", clock() - setup_start - plan_elapsed
-                 - step_elapsed - metrics_elapsed)
-        prof.count_ticks(T)
+        add_timing(prof, "kernel_plan", plan_elapsed)
+        add_timing(prof, "kernel_fused_step", step_elapsed)
+        add_timing(prof, "kernel_metrics_write", metrics_elapsed)
+        add_timing(prof, "dispatch", clock() - setup_start - plan_elapsed
+                   - step_elapsed - metrics_elapsed)
 
 
 def _python_air_pcm(targets, temp0, h_store, temp_block, h_block, alpha,

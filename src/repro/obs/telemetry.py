@@ -1,4 +1,4 @@
-"""One run's telemetry bundle: registry + tracer + ledger + profiler.
+"""One run's telemetry bundle: registry + tracer + ledger.
 
 :class:`Telemetry` is what callers hand to the entry points
 (``telemetry=`` accepts a directory path or a ``Telemetry`` instance);
@@ -12,11 +12,9 @@ Per run the telemetry directory gains three files::
     <run_id>.metrics.npz     per-tick metric columns (MetricRegistry)
     <run_id>.manifest.json   the auditable run manifest (RunLedger)
 
-Profiling and metrics share one snapshot path: when the bundle carries a
-:class:`~repro.perf.profiler.TickProfiler`, a single
-``TickProfiler.snapshot()`` call feeds both
-``SimulationResult.profile`` and the manifest's ``profile`` block, so
-the two can never disagree.
+A profiled run (``profile=True`` on the simulation) records its
+``SimulationResult.profile`` as the manifest's ``profile`` block, so the
+two can never disagree.
 
 Telemetry observes; it never mutates simulation state or consumes RNG.
 A run with telemetry attached is bit-identical (same
@@ -37,7 +35,6 @@ from .tracer import DEFAULT_BUFFER_LIMIT, NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.metrics import SimulationResult
-    from ..perf.profiler import TickProfiler
 
 #: Anything the ``telemetry=`` keyword accepts.
 TelemetryLike = Union["Telemetry", str, os.PathLike, None]
@@ -73,22 +70,16 @@ class Telemetry:
     """
 
     def __init__(self, directory, run_id: Optional[str] = None, *,
-                 trace_events: bool = True, metrics: bool = True,
-                 profile: bool = False,
                  buffer_limit: int = DEFAULT_BUFFER_LIMIT) -> None:
         self._dir = str(directory)
         os.makedirs(self._dir, exist_ok=True)
         self._requested_run_id = (sanitize_run_id(run_id)
                                   if run_id is not None else None)
-        self._trace_events = trace_events
-        self._metrics = metrics
-        self._want_profile = profile
         self._buffer_limit = buffer_limit
         self._run_id: Optional[str] = None
         self._policy: Optional[str] = None
         self._registry: Optional[MetricRegistry] = None
         self._tracer = NULL_TRACER
-        self._profiler: Optional["TickProfiler"] = None
         self._ledger = RunLedger(self._dir)
         self._finished = False
         self._annotations: Dict[str, Any] = {}
@@ -141,13 +132,8 @@ class Telemetry:
 
     @property
     def tracer(self):
-        """The span/event tracer (:data:`NULL_TRACER` when disabled)."""
+        """The span/event tracer (:data:`NULL_TRACER` before bind)."""
         return self._tracer
-
-    @property
-    def profiler(self) -> Optional["TickProfiler"]:
-        """The tick profiler when ``profile=True``, else ``None``."""
-        return self._profiler
 
     # -- file layout -------------------------------------------------------
 
@@ -157,15 +143,15 @@ class Telemetry:
 
     @property
     def trace_path(self) -> Optional[str]:
-        """The JSONL trace path (``None`` before bind / when disabled)."""
-        if self._run_id is None or not self._trace_events:
+        """The JSONL trace path (``None`` before bind)."""
+        if self._run_id is None:
             return None
         return self._artifact(".trace.jsonl")
 
     @property
     def metrics_path(self) -> Optional[str]:
-        """The metrics ``.npz`` path (``None`` before bind / disabled)."""
-        if self._run_id is None or not self._metrics:
+        """The metrics ``.npz`` path (``None`` before bind)."""
+        if self._run_id is None:
             return None
         return self._artifact(".metrics.npz")
 
@@ -198,12 +184,8 @@ class Telemetry:
             sanitize_run_id(default_run_id)
         self._policy = policy
         self._registry = MetricRegistry(capacity=max(1, capacity))
-        if self._trace_events:
-            self._tracer = Tracer(self._artifact(".trace.jsonl"),
-                                  buffer_limit=self._buffer_limit)
-        if self._want_profile and self._profiler is None:
-            from ..perf.profiler import TickProfiler
-            self._profiler = TickProfiler()
+        self._tracer = Tracer(self._artifact(".trace.jsonl"),
+                              buffer_limit=self._buffer_limit)
 
     def annotate(self, **extra: Any) -> None:
         """Attach extra provenance keys to the run's manifest.
@@ -219,24 +201,14 @@ class Telemetry:
             if value is not None:
                 self._annotations[key] = value
 
-    def use_profiler(self, profiler: Optional["TickProfiler"]) -> None:
-        """Adopt an externally supplied profiler (pre-bind only)."""
-        if profiler is None:
-            return
-        if self._run_id is not None:
-            raise TelemetryError(
-                "cannot adopt a profiler after telemetry is bound")
-        self._profiler = profiler
-
     def finish(self, *, config: SimulationConfig, scheduler_name: str,
                result: "SimulationResult", trace_sha256: str,
                wall_clock_s: float,
                checkpoints: Optional[list] = None) -> Dict[str, Any]:
         """Seal the run: flush the trace, save metrics, write the manifest.
 
-        Returns the manifest dict.  ``result.profile`` and the
-        manifest's ``profile`` block come from the same
-        ``TickProfiler.snapshot()`` value, never two separate reads.
+        Returns the manifest dict, whose ``profile`` block is
+        ``result.profile``.
         """
         if self._run_id is None:
             raise TelemetryError("cannot finish unbound telemetry")
@@ -244,11 +216,8 @@ class Telemetry:
             raise TelemetryError("telemetry was already finished")
         self._finished = True
         self._tracer.close()
-        files: Dict[str, str] = {}
-        if self._trace_events:
-            files["trace"] = os.path.basename(self._artifact(".trace.jsonl"))
-        if self._metrics and self._registry is not None \
-                and self._registry.num_snapshots > 0:
+        files = {"trace": os.path.basename(self._artifact(".trace.jsonl"))}
+        if self._registry.num_snapshots > 0:
             self._registry.save_npz(self._artifact(".metrics.npz"))
             files["metrics"] = os.path.basename(
                 self._artifact(".metrics.npz"))

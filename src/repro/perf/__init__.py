@@ -7,18 +7,13 @@ run them at hardware speed without changing a single simulated bit:
 
 * :class:`~repro.perf.runner.RunSpec` / :class:`~repro.perf.runner.ExperimentRunner`
   -- describe independent simulation jobs as picklable values and fan
-  them across a process pool or a shared-memory thread pool
-  (``workers_mode="thread"``, pairing with the planned kernel), or run
-  them serially in-process, with deterministic, submission-ordered
-  results and per-job error capture;
+  them across a process pool, or run them serially in-process, with
+  deterministic, submission-ordered results and per-job error capture
+  (``RunSpec(profile=True)`` times a run's tick sections into
+  ``SimulationResult.profile``);
 * :class:`~repro.perf.cache.TraceCache` / :func:`~repro.perf.cache.shared_trace`
   -- build each distinct (trace config, cluster size, seed) demand trace
   exactly once per process and share it across sweep points;
-* :class:`~repro.perf.profiler.TickProfiler` -- per-subsystem wall-clock
-  timing of the tick hot path (placement, air model, PCM, estimator,
-  metrics -- or the planned kernel's stages), surfaced on
-  ``SimulationResult.profile`` and via the ``repro-sim profile`` CLI
-  subcommand;
 * :func:`~repro.perf.timing.interleaved_best` -- the warm-up +
   interleaved best-of-N discipline every ``BENCH_perf.json`` entry is
   measured under.
@@ -28,7 +23,6 @@ simulation: same seeds, same fingerprints, for every policy.
 """
 
 from .cache import TraceCache, clear_shared_cache, shared_trace
-from .profiler import SubsystemTiming, TickProfiler
 from .runner import ExperimentRunner, RunFailure, RunSpec, execute_spec
 from .timing import interleaved_best, time_call
 
@@ -36,8 +30,6 @@ __all__ = [
     "ExperimentRunner",
     "RunFailure",
     "RunSpec",
-    "SubsystemTiming",
-    "TickProfiler",
     "TraceCache",
     "clear_shared_cache",
     "execute_spec",

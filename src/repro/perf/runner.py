@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Union
 
@@ -30,7 +30,6 @@ from ..config import SimulationConfig
 from ..errors import SimulationError
 from ..workloads.trace import TraceMatrix
 from .cache import shared_trace
-from .profiler import TickProfiler
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class RunSpec:
     #: using the process-wide cache (bit-identical either way; useful
     #: for cache-bypass comparisons).
     use_trace_cache: bool = True
-    #: Attach a TickProfiler and surface its snapshot on the result.
+    #: Time the run's tick sections into ``SimulationResult.profile``.
     profile: bool = False
     #: When set, the worker writes its telemetry bundle (JSONL trace,
     #: metric columns, run manifest) into this directory, keyed by the
@@ -160,11 +159,11 @@ class Deadline:
 
     The previous implementation rode on ``SIGALRM``, which only fires on
     a process's *main* thread -- so every run executed by a thread pool
-    (the serve layer, ``workers_mode="thread"`` sweeps) silently had no
-    budget at all.  A deadline object instead starts a monotonic timer
-    at construction and raises :class:`RunTimeout` from :meth:`check`,
-    which the simulation calls at the top of every tick (and the batched
-    kernels call between stages).  That makes the budget thread-agnostic
+    (the serve layer's job workers) silently had no budget at all.  A
+    deadline object instead starts a monotonic timer at construction and
+    raises :class:`RunTimeout` from :meth:`check`, which the simulation
+    calls at the top of every tick (and the batched kernels call between
+    stages).  That makes the budget thread-agnostic
     and leaves the run in a clean, resumable state: the abort propagates
     out of the tick like any simulation error, with the engine clock at
     the aborted tick and every checkpoint written so far intact.
@@ -257,13 +256,11 @@ def execute_spec(spec: RunSpec,
         trace = TwoDayTrace(spec.config.trace).generate(
             spec.config.num_servers, spec.config.server.cores,
             rng=rng).shifted(spec.trace_shift_hours)
-    profiler = TickProfiler() if spec.profile else None
     scheduler = make_scheduler(spec.policy, spec.config)
     telemetry = None
     if spec.telemetry_dir is not None:
         from ..obs.telemetry import Telemetry
         telemetry = Telemetry(spec.telemetry_dir)
-        telemetry.use_profiler(profiler)
         # Bind here (not in the simulation) so the manifest carries the
         # spec's identity: its name as run id, its policy key verbatim.
         telemetry.bind(spec.name, policy=spec.policy,
@@ -271,8 +268,6 @@ def execute_spec(spec: RunSpec,
         if spec.scenario is not None:
             telemetry.annotate(scenario=spec.scenario,
                                scenario_sha256=spec.scenario_sha256)
-        if profiler is None:
-            profiler = telemetry.profiler
     deadline = Deadline.of(spec.timeout_s)
     if spec_checkpoint_dir is not None:
         resumable = _compatible_checkpoint(spec, spec_checkpoint_dir)
@@ -280,13 +275,14 @@ def execute_spec(spec: RunSpec,
             from ..state import restore_simulation
             sim = restore_simulation(
                 resumable, telemetry=telemetry, checks=spec.checks,
+                profile=spec.profile,
                 checkpoint_every=spec.checkpoint_every,
                 checkpoint_dir=spec_checkpoint_dir,
                 deadline=deadline)
             return sim.run()
     return run_simulation(spec.config, scheduler, trace=trace,
                           record_heatmaps=spec.record_heatmaps,
-                          profiler=profiler,
+                          profile=spec.profile,
                           telemetry=telemetry,
                           checks=spec.checks,
                           checkpoint_every=spec.checkpoint_every,
@@ -334,7 +330,7 @@ def _execute_captured(spec: RunSpec,
                           traceback_text=traceback.format_exc())
 
 
-#: Valid :class:`ExperimentRunner` pool flavors.
+#: Values the retired ``workers_mode`` keyword still accepts.
 WORKERS_MODES = ("process", "thread")
 
 
@@ -349,13 +345,10 @@ class ExperimentRunner:
         created per :meth:`run` call and sized to
         ``min(max_workers, len(specs))``.
     workers_mode:
-        ``"process"`` (default) fans jobs across a process pool;
-        ``"thread"`` uses a thread pool instead.  Threads share the
-        parent's read-only trace cache (no per-worker regeneration, no
-        pickling) and suit the planned kernel, whose whole-run numpy
-        work releases the GIL for much of its time; pure-python
-        per-tick runs serialize on the GIL and rarely benefit.
-        Results are bit-identical across all modes.
+        Retired: validated against :data:`WORKERS_MODES`, and it selects
+        nothing.  Parallel batches always take the process pool; the
+        thread pool ``"thread"`` once chose was slower than serial in
+        every recorded sweep.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -367,17 +360,6 @@ class ExperimentRunner:
                 f"workers_mode must be one of {WORKERS_MODES}, "
                 f"got {workers_mode!r}")
         self._max_workers = max_workers
-        self._workers_mode = workers_mode
-
-    @property
-    def max_workers(self) -> Optional[int]:
-        """The configured worker bound (``None`` = all cores)."""
-        return self._max_workers
-
-    @property
-    def workers_mode(self) -> str:
-        """The configured pool flavor ("process" | "thread")."""
-        return self._workers_mode
 
     def _worker_count(self, num_jobs: int) -> int:
         import os
@@ -402,8 +384,6 @@ class ExperimentRunner:
         workers = self._worker_count(len(specs))
         if workers <= 1:
             outcomes = self._run_serial(specs)
-        elif self._workers_mode == "thread":
-            outcomes = self._run_threads(specs, workers)
         else:
             outcomes = self._run_pool(specs, workers)
         if raise_on_error:
@@ -421,24 +401,6 @@ class ExperimentRunner:
     @staticmethod
     def _run_serial(specs: Sequence[RunSpec]) -> List[Outcome]:
         return [_execute_captured(spec) for spec in specs]
-
-    @staticmethod
-    def _run_threads(specs: Sequence[RunSpec],
-                     workers: int) -> List[Outcome]:
-        """Thread-pool execution: shared memory, no pickling.
-
-        Every job still goes through :func:`_execute_captured`, so
-        failures come back as :class:`RunFailure` rows exactly like the
-        other modes.  Jobs share the process-wide trace cache, whose
-        demand matrices are read-only (``writeable=False``) zero-copy
-        views -- concurrent readers are safe by construction.  Threads
-        cannot die the way a SIGKILLed worker process can, so no retry
-        pass is needed.
-        """
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_captured, spec)
-                       for spec in specs]
-            return [future.result() for future in futures]
 
     def _run_pool(self, specs: Sequence[RunSpec],
                   workers: int) -> List[Outcome]:

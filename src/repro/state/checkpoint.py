@@ -50,6 +50,7 @@ def latest_checkpoint(directory: str) -> Optional[str]:
 
 def restore_simulation(source: Union[str, SimulationSnapshot], *,
                        telemetry=None, checks: Optional[str] = None,
+                       profile: bool = False,
                        backend: Optional[str] = None,
                        checkpoint_every: Optional[int] = None,
                        checkpoint_dir: Optional[str] = None,
@@ -60,8 +61,9 @@ def restore_simulation(source: Union[str, SimulationSnapshot], *,
     rebuilt simulation is restored to the captured tick and its
     :meth:`~repro.cluster.simulation.ClusterSimulation.run` continues
     from there.  Pass ``checkpoint_every``/``checkpoint_dir`` to keep
-    checkpointing the resumed run.  ``backend`` is retired: validated,
-    and it selects nothing.
+    checkpointing the resumed run, and ``profile=True`` to time its
+    remaining ticks.  ``backend`` is retired: validated, and it selects
+    nothing.
     """
     # Imported lazily: this package must stay importable from the layers
     # it snapshots without a cycle.
@@ -79,6 +81,7 @@ def restore_simulation(source: Union[str, SimulationSnapshot], *,
     sim = ClusterSimulation(config, scheduler,
                             record_heatmaps=snapshot.record_heatmaps,
                             telemetry=telemetry, checks=checks,
+                            profile=profile,
                             checkpoint_every=checkpoint_every,
                             checkpoint_dir=checkpoint_dir,
                             deadline=deadline)

@@ -47,6 +47,25 @@ class TestRun:
         assert "peak_cooling_kw" in capsys.readouterr().out
 
 
+class TestProfile:
+    @pytest.mark.parametrize("policy, path, sections, calls", [
+        ("vmt-ta", "planned", ("kernel_plan", "kernel_fused_step",
+                               "kernel_metrics_write", "dispatch"), "1"),
+        ("vmt-wa", "stepped", ("placement", "air_model", "pcm",
+                               "estimator", "metrics"), "2880"),
+    ])
+    def test_prints_every_section_and_the_tick_count(
+            self, capsys, policy, path, sections, calls):
+        assert main(["profile", "--policy", policy, "--servers", "4"]) == 0
+        out = capsys.readouterr().out
+        assert f"kernel path: {path}" in out
+        rows = {line.split()[0]: line.split()[1:]
+                for line in out.splitlines() if line.strip()}
+        for section in sections:
+            assert rows[section][0] == calls, section
+        assert "2880 ticks" in out
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_repro(self):
         import subprocess, sys
@@ -72,6 +91,9 @@ class TestErrorPaths:
         (["--derate", "0.8", "--derate-at", "inf"],
          "CoolingFaultSpec.time_s"),
         (["--hazard", "nan"], "FaultConfig.hazard_acceleration"),
+        (["--inlet-stdev", "nan"], "ThermalConfig.inlet_stdev_c"),
+        (["--gv", "nan"], "SchedulerConfig.grouping_value"),
+        (["--gv", "inf"], "SchedulerConfig.grouping_value"),
     ])
     def test_non_finite_fault_flags_rejected(self, capsys, flags, field):
         assert main(["run", "--servers", "8", *flags]) == 2

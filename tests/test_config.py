@@ -4,10 +4,34 @@ import dataclasses
 
 import pytest
 
-from repro.config import (SchedulerConfig, ServerConfig, SimulationConfig,
-                          ThermalConfig, TraceConfig, WaxConfig,
-                          paper_cluster_config)
+from repro.config import (AmbientConfig, AmbientEventSpec, BatteryConfig,
+                          DemandEventSpec, SchedulerConfig, ServerConfig,
+                          SimulationConfig, ThermalConfig, TraceConfig,
+                          WaxConfig, paper_cluster_config)
 from repro.errors import ConfigurationError
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("build, field", [
+    (lambda v: ServerConfig(idle_power_w=v), "ServerConfig.idle_power_w"),
+    (lambda v: WaxConfig(volume_liters=v), "WaxConfig.volume_liters"),
+    (lambda v: ThermalConfig(inlet_stdev_c=v),
+     "ThermalConfig.inlet_stdev_c"),
+    (lambda v: BatteryConfig(capacity_kwh=v), "BatteryConfig.capacity_kwh"),
+    (lambda v: DemandEventSpec("surge", 1.0, 2.0, magnitude=v),
+     "DemandEventSpec.magnitude"),
+    (lambda v: TraceConfig(duration_hours=v), "TraceConfig.duration_hours"),
+    (lambda v: SchedulerConfig(grouping_value=v),
+     "SchedulerConfig.grouping_value"),
+    (lambda v: AmbientEventSpec(1.0, 2.0, delta_c=v),
+     "AmbientEventSpec.delta_c"),
+    (lambda v: AmbientConfig(diurnal_amplitude_c=v),
+     "AmbientConfig.diurnal_amplitude_c"),
+])
+def test_validate_rejects_non_finite_floats(build, field, value):
+    """NaN passes every ``<``/``<=`` check; infinity passes ``> 0``."""
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        build(value).validate()
 
 
 class TestServerConfig:

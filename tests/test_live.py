@@ -22,6 +22,7 @@ import glob
 import json
 import random
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from repro.live import (JsonlFeed, LiveRunner, LiveTraceBuffer,
                         MPCController, SyntheticArrivalFeed,
                         TraceReplayFeed, invert_grouping_value,
                         make_feed, make_forecaster, resume_live)
-from repro.perf.runner import ExperimentRunner, RunFailure, RunSpec
+from repro.perf.runner import RunFailure, RunSpec, _execute_captured
 from repro.state.checkpoint import checkpoint_path, verify_roundtrip
 from repro.state.snapshot import load_snapshot
 from repro.workloads.workload import HOT_INDICES, WORKLOAD_LIST
@@ -681,15 +682,15 @@ class TestGeneratedLiveDifferential:
 class TestThreadedTimeout:
     def test_timeout_fires_on_worker_threads(self):
         # The whole point of replacing SIGALRM: a budget that actually
-        # aborts runs executing off the main thread.
+        # aborts runs executing off the main thread, as the serve
+        # layer's job workers run them.
         config = tiny_config(hours=240.0, servers=20)
-        runner = ExperimentRunner(max_workers=2, workers_mode="thread")
-        outcomes = runner.run(
-            [RunSpec(config=config, policy="vmt-ta", label="hung-a",
-                     timeout_s=0.05),
-             RunSpec(config=config, policy="vmt-wa", label="hung-b",
-                     timeout_s=0.05)],
-            raise_on_error=False)
+        specs = [RunSpec(config=config, policy="vmt-ta", label="hung-a",
+                         timeout_s=0.05),
+                 RunSpec(config=config, policy="vmt-wa", label="hung-b",
+                         timeout_s=0.05)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            outcomes = list(pool.map(_execute_captured, specs))
         for outcome in outcomes:
             assert isinstance(outcome, RunFailure)
             assert outcome.error_type == "RunTimeout"

@@ -1,4 +1,4 @@
-"""Tests for the parallel experiment engine, trace cache and profiler.
+"""Tests for the parallel experiment engine, trace cache and profiling.
 
 The load-bearing property of the whole ``repro.perf`` package is that
 none of it changes a single simulated bit: parallel equals serial,
@@ -7,6 +7,9 @@ cached trace equals regenerated trace, profiled equals unprofiled.  The
 those assertions exact rather than approximate.
 """
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,10 +17,17 @@ from repro.cluster.simulation import run_simulation
 from repro.config import SimulationConfig, TraceConfig, paper_cluster_config
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
 from repro.errors import SimulationError
-from repro.perf import (ExperimentRunner, RunFailure, RunSpec,
-                        TickProfiler, TraceCache, clear_shared_cache,
-                        execute_spec, shared_trace)
-from repro.perf.profiler import KERNEL_SECTIONS, REFERENCE_SECTIONS
+from repro.obs.ledger import read_manifests
+from repro.perf import (ExperimentRunner, RunFailure, RunSpec, TraceCache,
+                        clear_shared_cache, execute_spec, shared_trace)
+from repro.state import list_checkpoints
+
+#: Sections the per-tick driver times ("checks" only under a sanitizer).
+STEPPED_SECTIONS = {"placement", "air_model", "pcm", "estimator", "metrics"}
+
+#: Sections the planned kernel times instead.
+KERNEL_SECTIONS = {"kernel_plan", "kernel_fused_step",
+                   "kernel_metrics_write", "dispatch"}
 
 
 def tiny_config(seed=11, **overrides):
@@ -146,7 +156,7 @@ class TestProfiler:
                                       profile=True))
         assert result.profile is not None
         # "checks" only appears when a sanitizer is attached.
-        assert set(result.profile) == set(REFERENCE_SECTIONS) - {"checks"}
+        assert set(result.profile) == STEPPED_SECTIONS
         ticks = result.times_s.shape[0]
         for section, timing in result.profile.items():
             assert timing["calls"] == ticks, section
@@ -154,14 +164,14 @@ class TestProfiler:
         # A clean VMT-TA run is planned: one call per kernel stage.
         result = execute_spec(RunSpec(tiny_config(), "vmt-ta",
                                       profile=True))
-        assert set(result.profile) == set(KERNEL_SECTIONS)
+        assert set(result.profile) == KERNEL_SECTIONS
         for section, timing in result.profile.items():
             assert timing["calls"] == 1, section
 
     def test_checks_section_times_the_sanitizer(self):
         result = execute_spec(RunSpec(tiny_config(), "vmt-ta",
                                       profile=True, checks="cheap"))
-        assert set(result.profile) == set(REFERENCE_SECTIONS)
+        assert set(result.profile) == STEPPED_SECTIONS | {"checks"}
         ticks = result.times_s.shape[0]
         timing = result.profile["checks"]
         # Placement and state audits are timed separately each tick.
@@ -173,19 +183,32 @@ class TestProfiler:
                        checks="cheap")
         result = ExperimentRunner(2).run([spec])[0]
         assert result.profile is not None
-        assert set(result.profile) == set(REFERENCE_SECTIONS)
+        assert set(result.profile) == STEPPED_SECTIONS | {"checks"}
 
-    def test_profiler_accumulates_and_resets(self):
-        profiler = TickProfiler()
-        profiler.add("pcm", 0.5)
-        profiler.add("pcm", 0.25)
-        profiler.count_tick()
-        timing = profiler.timings()["pcm"]
-        assert timing.calls == 2
-        assert timing.total_s == pytest.approx(0.75)
-        assert timing.mean_us == pytest.approx(0.375e6)
-        profiler.reset()
-        assert profiler.timings() == {} and profiler.ticks == 0
+    def test_manifest_profile_block_is_the_result_profile(self, tmp_path):
+        spec = RunSpec(tiny_config(), "vmt-wa", profile=True,
+                       telemetry_dir=str(tmp_path))
+        result = execute_spec(spec)
+        (manifest,) = read_manifests(str(tmp_path))
+        assert set(result.profile) == STEPPED_SECTIONS
+        assert manifest["profile"] == result.profile
+
+    def test_resumed_spec_keeps_its_profile(self, tmp_path):
+        # Regression: a resumed spec was profiled only through its
+        # telemetry bundle, so without one it came back with None.
+        spec = RunSpec(tiny_config(), "vmt-wa", checkpoint_every=30,
+                       checkpoint_dir=str(tmp_path))
+        straight = execute_spec(spec)
+        (directory,) = tmp_path.iterdir()
+        for tick, path in list_checkpoints(directory):
+            if tick != 30:
+                os.remove(path)
+        resumed = execute_spec(replace(spec, profile=True))
+        assert resumed.fingerprint() == straight.fingerprint()
+        assert set(resumed.profile) == STEPPED_SECTIONS
+        ticks = straight.times_s.shape[0] - 30
+        for section, timing in resumed.profile.items():
+            assert timing["calls"] == ticks, section
 
 
 class TestErrorCapture:
@@ -221,6 +244,13 @@ class TestErrorCapture:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(SimulationError):
             ExperimentRunner(0)
+
+    def test_unknown_workers_mode_rejected(self):
+        # Retired, but still validated: "process" and "thread" pass.
+        ExperimentRunner(2, workers_mode="thread")
+        with pytest.raises(SimulationError,
+                           match="workers_mode must be one of"):
+            ExperimentRunner(2, workers_mode="fiber")
 
     def test_empty_batch(self):
         assert ExperimentRunner(4).run([]) == []
