@@ -11,7 +11,9 @@ sweep scale:
 * ``restore_s`` -- ``load_snapshot`` + ``restore_simulation``, the cost
   paid once on resume;
 * ``checkpoint_overhead`` -- extra wall time of a run checkpointing
-  every 60 ticks relative to an identical run without checkpoints;
+  every 60 ticks relative to an identical run without checkpoints,
+  the two timed as one ``interleaved_best`` pair so host drift hits
+  both alike;
 * ``planned_vmt_ta`` -- the same pair for VMT-TA, where the planned
   kernel runs the checkpointing run in segments and writes each
   snapshot between two of them, beside the same checkpointing run on
@@ -41,7 +43,6 @@ import argparse
 import json
 import os
 import tempfile
-import time
 
 from repro.cluster.simulation import ClusterSimulation
 from repro.config import TraceConfig, paper_cluster_config
@@ -58,14 +59,27 @@ def _build(config, policy, **kwargs):
                              record_heatmaps=False, **kwargs)
 
 
-def _timed_run(sim) -> tuple:
-    start = time.perf_counter()
-    result = sim.run()
-    return result, time.perf_counter() - start
-
-
 def _noop_observer(time_s, demand, placement, cluster):
     """Attached only to force the per-tick driver."""
+
+
+def _case(config, policy: str, every: int = 0, per_tick: bool = False):
+    """One timed run of ``policy``, checkpointing every ``every`` ticks
+    (never when 0), for :func:`interleaved_best`."""
+    def run():
+        with tempfile.TemporaryDirectory() as tmp:
+            extra = ({"checkpoint_every": every, "checkpoint_dir": tmp}
+                     if every else {})
+            sim = _build(config, policy, **extra)
+            if per_tick:
+                sim.add_observer(_noop_observer)
+            wall_s, result = time_call(sim.run)
+            return {"wall_s": wall_s,
+                    "fingerprint": result.fingerprint(),
+                    "kernel_path": sim.kernel_path,
+                    "snapshots": len(sim.checkpoint_records),
+                    "sim": sim}
+    return run
 
 
 def planned_vmt_ta(config, every: int, repeats: int) -> dict:
@@ -75,25 +89,11 @@ def planned_vmt_ta(config, every: int, repeats: int) -> dict:
     ``checkpointed_stepped`` is the same checkpointing run forced onto
     the per-tick driver by a no-op observer.
     """
-    def case(checkpoints: bool, per_tick: bool = False):
-        def run():
-            with tempfile.TemporaryDirectory() as tmp:
-                extra = ({"checkpoint_every": every, "checkpoint_dir": tmp}
-                         if checkpoints else {})
-                sim = _build(config, "vmt-ta", **extra)
-                if per_tick:
-                    sim.add_observer(_noop_observer)
-                wall_s, result = time_call(sim.run)
-                return {"wall_s": wall_s,
-                        "fingerprint": result.fingerprint(),
-                        "kernel_path": sim.kernel_path,
-                        "snapshots": len(sim.checkpoint_records)}
-        return run
-
     best = interleaved_best({
-        "plain": case(False),
-        "checkpointed": case(True),
-        "checkpointed_stepped": case(True, per_tick=True),
+        "plain": _case(config, "vmt-ta"),
+        "checkpointed": _case(config, "vmt-ta", every),
+        "checkpointed_stepped": _case(config, "vmt-ta", every,
+                                      per_tick=True),
     }, repeats=repeats, key="wall_s")
     plain, ckpt = best["plain"], best["checkpointed"]
     return {
@@ -121,41 +121,46 @@ def main() -> int:
                         help="checkpoint interval (ticks) for the "
                              "instrumented run")
     parser.add_argument("--repeats", type=int, default=5,
-                        help="take the fastest of N snapshot timings")
+                        help="take the fastest of N interleaved runs "
+                             "and of N snapshot timings")
     parser.add_argument("--out", default="BENCH_perf.json")
     args = parser.parse_args()
 
     config = paper_cluster_config(num_servers=args.servers, seed=args.seed)
     config = config.replace(trace=TraceConfig(duration_hours=args.hours))
 
-    baseline_result, baseline_s = _timed_run(_build(config, args.policy))
+    best = interleaved_best({
+        "plain": _case(config, args.policy),
+        "checkpointed": _case(config, args.policy, args.every),
+    }, repeats=args.repeats, key="wall_s")
+    baseline_s = best["plain"]["wall_s"]
+    ckpt_s = best["checkpointed"]["wall_s"]
+    identical = (best["checkpointed"]["fingerprint"]
+                 == best["plain"]["fingerprint"])
     ticks = config.trace.num_steps
     print(f"baseline: {baseline_s:.3f} s over {ticks} ticks "
           f"({args.servers} servers, {args.policy})")
+    print(f"checkpointed (every {args.every}): {ckpt_s:.3f} s, "
+          f"{best['checkpointed']['snapshots']} snapshots, "
+          f"bit-identical: {identical}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        sim = _build(config, args.policy,
-                     checkpoint_every=args.every, checkpoint_dir=tmp)
-        ckpt_result, ckpt_s = _timed_run(sim)
-        identical = ckpt_result.fingerprint() == baseline_result.fingerprint()
-        n_checkpoints = len(sim.checkpoint_records)
-        print(f"checkpointed (every {args.every}): {ckpt_s:.3f} s, "
-              f"{n_checkpoints} snapshots, bit-identical: {identical}")
-
-        # Per-snapshot cost, measured directly on the finished sim (the
+        # Per-snapshot cost, measured directly on a finished sim (the
         # state tree has the same shape at any tick boundary).
-        capture_s = min(_time_once(sim.snapshot) for _ in range(args.repeats))
+        sim = best["checkpointed"]["sim"]
+        capture_s = min(time_call(sim.snapshot)[0]
+                        for _ in range(args.repeats))
         path = os.path.join(tmp, "bench-snapshot.npz")
         write_s = min(
-            _time_once(lambda: save_snapshot(sim.snapshot(), path))
+            time_call(lambda: save_snapshot(sim.snapshot(), path))[0]
             for _ in range(args.repeats))
         snapshot_bytes = (os.path.getsize(path)
                           + os.path.getsize(snapshot_manifest_path(path)))
         restore_s = min(
-            _time_once(lambda: restore_simulation(load_snapshot(path)))
+            time_call(lambda: restore_simulation(load_snapshot(path)))[0]
             for _ in range(args.repeats))
 
-    overhead = ckpt_s / baseline_s - 1.0 if baseline_s > 0 else 0.0
+    overhead = ckpt_s / baseline_s - 1.0
     ta_row = planned_vmt_ta(config, args.every, args.repeats)
     print(f"snapshot: capture {capture_s * 1000:.1f} ms, "
           f"capture+write {write_s * 1000:.1f} ms "
@@ -197,12 +202,6 @@ def main() -> int:
         handle.write("\n")
     print(f"wrote {args.out}")
     return 0 if identical and write_s < SNAPSHOT_BAR_S else 1
-
-
-def _time_once(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
 
 
 if __name__ == "__main__":

@@ -32,8 +32,9 @@ import subprocess
 BENCH = "BENCH_perf.json"
 
 #: What every section's runs go through: the tick drivers, the segment
-#: loop, the metrics collector and the runner.
+#: loop, the schedulers' placement, the metrics collector and the runner.
 KERNEL = (
+    "src/repro/core",
     "src/repro/kernel",
     "src/repro/perf",
     "src/repro/cluster/simulation.py",

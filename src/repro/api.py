@@ -234,9 +234,8 @@ def compare(*, policies: Sequence[str] = ("vmt-ta", "round-robin"),
 
     Every policy sees the same config and the same generated trace, so
     :meth:`Comparison.peak_reduction` is an apples-to-apples number.
-    ``workers_mode`` mirrors :func:`sweep`: the pool flavor
-    ("process" | "thread") -- both are bit-identical.  ``backend`` is
-    retired: validated, and it selects nothing.
+    ``workers_mode`` and ``backend`` are retired: validated, and they
+    select nothing (parallel runs take the process pool).
     """
     check_backend(backend)
     policies = tuple(dict.fromkeys(policies))  # dedupe, keep order

@@ -1,7 +1,8 @@
 """The paper's contribution: VMT job placement (plus baselines).
 
 * :mod:`~repro.core.scheduler` -- the scheduler interface, placement
-  results, and the shared job-dealing machinery;
+  results, the shared job-dealing machinery, and the base classes of
+  the VMT policies and of the job-persistent baselines;
 * :mod:`~repro.core.round_robin` -- the round-robin baseline (prior TTS
   work's scheduler);
 * :mod:`~repro.core.coolest_first` -- the coolest-first thermal-aware

@@ -5,88 +5,32 @@ coolest servers have the greatest thermal headroom available and
 schedules on them first." (Section V.)
 
 Like the round-robin baseline this scheduler is job persistent with
-churn, but its deltas are thermal aware: new arrivals pack onto the
-coolest servers (by sensed air temperature) and departures drain from
-the hottest.  That closed loop drives every server toward the fleet-mean
-temperature -- the tight temperature band of Fig. 10 -- and still melts
-no wax, because the fleet mean sits below the melting point.
+churn (:class:`~repro.core.scheduler.JobPersistentScheduler`), but its
+deltas are thermal aware: new arrivals pack onto the coolest servers
+(by sensed air temperature) and departures drain from the hottest.
+That closed loop drives every server toward the fleet-mean temperature
+-- the tight temperature band of Fig. 10 -- and still melts no wax,
+because the fleet mean sits below the melting point.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..cluster.state import ClusterView
-from ..errors import ConfigurationError
-from .round_robin import DEFAULT_CHURN_PER_TICK
-from .scheduler import (NUM_WORKLOADS, Placement, Scheduler, deal_types,
-                        pack_quotas)
+from .scheduler import JobPersistentScheduler, pack_quotas
 
 
-class CoolestFirstScheduler(Scheduler):
+class CoolestFirstScheduler(JobPersistentScheduler):
     """Pack new jobs onto the coolest servers; drain the hottest first."""
-
-    def __init__(self, *args, churn_per_tick: float = DEFAULT_CHURN_PER_TICK,
-                 **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if not 0.0 <= churn_per_tick <= 1.0:
-            raise ConfigurationError("churn must be in [0, 1]")
-        self._churn = churn_per_tick
-        self._alloc: Optional[np.ndarray] = None
 
     @property
     def name(self) -> str:
         return "coolest-first"
 
-    def reset(self) -> None:
-        super().reset()
-        self._alloc = None
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["alloc"] = None if self._alloc is None else self._alloc.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        alloc = state["alloc"]
-        self._alloc = (None if alloc is None
-                       else np.asarray(alloc, dtype=np.int64).copy())
-
-    def _place(self, demand: np.ndarray, view: ClusterView) -> Placement:
-        if self._alloc is None or len(self._alloc) != view.num_servers:
-            self._alloc = np.zeros((view.num_servers, NUM_WORKLOADS),
-                                   dtype=np.int64)
-        alloc = self._alloc
-        # Failures: clear dead rows so the displaced jobs re-enter the
-        # arrival stream and pack onto surviving coolest servers.
-        if view.active_mask is not None:
-            alloc[~view.active_mask] = 0
-        # Stable sorts on sensed temperature; ties break by server id.
+    def _quotas(self, total: int, capacities: np.ndarray,
+                view: ClusterView, *, drain: bool) -> np.ndarray:
+        # Stable sort on sensed temperature; ties break by server id.
         coolest_first = np.argsort(view.air_temp_c, kind="stable")
-        hottest_first = coolest_first[::-1]
-
-        # Churn: completed jobs leave; replacements re-enter as arrivals.
-        if self._churn > 0 and alloc.sum():
-            completed = self._rng.binomial(alloc, self._churn)
-            alloc -= completed
-
-        # Departures drain from the hottest servers running the workload.
-        placed = alloc.sum(axis=0)
-        for w in range(NUM_WORKLOADS):
-            excess = int(placed[w] - demand[w])
-            if excess > 0:
-                removal = pack_quotas(excess, alloc[:, w], hottest_first)
-                alloc[:, w] -= removal
-
-        # Arrivals pack the coolest servers to capacity first.
-        new = np.maximum(demand - alloc.sum(axis=0), 0)
-        total_new = int(new.sum())
-        if total_new:
-            free = view.capacity_vector() - alloc.sum(axis=1)
-            quotas = pack_quotas(total_new, free, coolest_first)
-            alloc += deal_types(new, quotas, rng=self._rng)
-
-        return Placement(allocation=alloc.copy())
+        return pack_quotas(total, capacities,
+                           coolest_first[::-1] if drain else coolest_first)

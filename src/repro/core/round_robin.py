@@ -3,99 +3,37 @@
 "In our experiments, we consider two baselines.  The first is a round
 robin scheduler, the same used in prior work on TTS." (Section V.)
 
-The scheduler is *job persistent with churn*: jobs placed in earlier
-intervals stay where they are until they complete (an exponential
-lifetime, ``churn_per_tick`` of running jobs finishing each minute);
-each tick the completions plus the demand delta are re-dealt one per
-server in rotation (classic round robin), and net departures drain
-evenly from the servers running that workload.  Because arrivals mix
-workload types randomly and linger for many minutes, individual servers
-carry different hot/cold blends at any instant, which is exactly why the
-round-robin heatmap (Fig. 9) shows a visible temperature spread even
-though every server carries the same job *count*.
+The scheduler is *job persistent with churn*
+(:class:`~repro.core.scheduler.JobPersistentScheduler`): jobs placed in
+earlier intervals stay where they are until they complete (an
+exponential lifetime, ``churn_per_tick`` of running jobs finishing each
+minute); each tick the completions plus the demand delta are re-dealt
+one per server in rotation (classic round robin), and net departures
+drain evenly from the servers running that workload.  Because arrivals
+mix workload types randomly and linger for many minutes, individual
+servers carry different hot/cold blends at any instant, which is exactly
+why the round-robin heatmap (Fig. 9) shows a visible temperature spread
+even though every server carries the same job *count*.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..cluster.state import ClusterView
-from ..errors import ConfigurationError
-from .scheduler import (NUM_WORKLOADS, Placement, Scheduler, deal_types,
+from .scheduler import (DEFAULT_CHURN_PER_TICK, JobPersistentScheduler,
                         waterfill_quotas)
 
-#: Default fraction of running jobs completing per one-minute tick
-#: (mean job lifetime ~10 minutes).
-DEFAULT_CHURN_PER_TICK = 0.10
+__all__ = ["DEFAULT_CHURN_PER_TICK", "RoundRobinScheduler"]
 
 
-class RoundRobinScheduler(Scheduler):
+class RoundRobinScheduler(JobPersistentScheduler):
     """Deal new jobs evenly across all servers; drain departures evenly."""
-
-    def __init__(self, *args, churn_per_tick: float = DEFAULT_CHURN_PER_TICK,
-                 **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if not 0.0 <= churn_per_tick <= 1.0:
-            raise ConfigurationError("churn must be in [0, 1]")
-        self._churn = churn_per_tick
-        self._alloc: Optional[np.ndarray] = None
 
     @property
     def name(self) -> str:
         return "round-robin"
 
-    def reset(self) -> None:
-        super().reset()
-        self._alloc = None
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["alloc"] = None if self._alloc is None else self._alloc.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        alloc = state["alloc"]
-        self._alloc = (None if alloc is None
-                       else np.asarray(alloc, dtype=np.int64).copy())
-
-    def _place(self, demand: np.ndarray, view: ClusterView) -> Placement:
-        if self._alloc is None or len(self._alloc) != view.num_servers:
-            self._alloc = np.zeros((view.num_servers, NUM_WORKLOADS),
-                                   dtype=np.int64)
-        alloc = self._alloc
-
-        # Failures: jobs on dead servers are lost; clearing their rows
-        # drops the placed count, so the displaced jobs re-enter the
-        # arrival stream below and land on survivors.
-        if view.active_mask is not None:
-            alloc[~view.active_mask] = 0
-
-        # Churn: a fraction of running jobs completes this minute; the
-        # replacements re-enter the arrival stream below.
-        if self._churn > 0 and alloc.sum():
-            completed = self._rng.binomial(alloc, self._churn)
-            alloc -= completed
-
-        # Departures: jobs of each shrinking workload finish; drain them
-        # evenly from the servers currently running that workload.
-        placed = alloc.sum(axis=0)
-        for w in range(NUM_WORKLOADS):
-            excess = int(placed[w] - demand[w])
-            if excess > 0:
-                removal = waterfill_quotas(excess, alloc[:, w],
-                                           tie_offset=self._tick)
-                alloc[:, w] -= removal
-
-        # Arrivals: deal the new jobs one per server in rotation.
-        new = np.maximum(demand - alloc.sum(axis=0), 0)
-        total_new = int(new.sum())
-        if total_new:
-            free = view.capacity_vector() - alloc.sum(axis=1)
-            quotas = waterfill_quotas(total_new, free,
-                                      tie_offset=self._tick)
-            alloc += deal_types(new, quotas, rng=self._rng)
-
-        return Placement(allocation=alloc.copy())
+    def _quotas(self, total: int, capacities: np.ndarray,
+                view: ClusterView, *, drain: bool) -> np.ndarray:
+        return waterfill_quotas(total, capacities, tie_offset=self._tick)

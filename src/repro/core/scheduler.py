@@ -13,9 +13,16 @@ shares:
   of Section III-A);
 * :func:`pack_quotas` -- fill servers to capacity in a given order (the
   coolest-first baseline);
+* :func:`take_share` -- the proportional slice of a demand vector that
+  fits a capacity, so a spilled remainder keeps its type mix;
 * :func:`deal_types` -- turn per-workload counts plus per-server quotas
   into an allocation matrix, interleaving job types across servers the
   way an arrival-order dealer would.
+
+Two base classes hold what the policies share beyond the primitives:
+:class:`VMTScheduler` (the Eq. 1 grouping and the one dealing pass of
+VMT-TA, VMT-WA and VMT-Preserve) and :class:`JobPersistentScheduler`
+(the churning job map of the round-robin and coolest-first baselines).
 """
 
 from __future__ import annotations
@@ -28,11 +35,16 @@ import numpy as np
 
 from ..cluster.state import ClusterView
 from ..config import SimulationConfig
-from ..errors import CapacityError, SchedulingError
+from ..errors import CapacityError, ConfigurationError, SchedulingError
 from ..sim.rng import RngStreams
 from ..workloads.workload import WORKLOAD_LIST
+from .grouping import GroupSizer
 
 NUM_WORKLOADS = len(WORKLOAD_LIST)
+
+#: Default fraction of running jobs completing per one-minute tick
+#: (mean job lifetime ~10 minutes).
+DEFAULT_CHURN_PER_TICK = 0.10
 
 
 @dataclass(frozen=True)
@@ -212,6 +224,33 @@ def pack_quotas(total: int, capacities: np.ndarray,
     return quotas
 
 
+def take_share(demand_part: np.ndarray, amount: int) -> np.ndarray:
+    """Remove up to ``amount`` jobs from ``demand_part`` (in place).
+
+    Each workload gives its proportional share rounded down, so a
+    spilled remainder keeps its type mix; the shortfall goes to the
+    larger leftovers first, the lower workload index on ties (a stable
+    sort, so the order does not depend on the host's numpy build).
+    Returns the jobs taken.
+    """
+    total = int(demand_part.sum())
+    amount = min(amount, total)
+    if amount == 0:
+        return np.zeros(NUM_WORKLOADS, dtype=np.int64)
+    taken = np.minimum(demand_part, (demand_part * amount) // total)
+    shortfall = amount - int(taken.sum())
+    if shortfall > 0:
+        leftovers = demand_part - taken
+        for idx in np.argsort(-leftovers, kind="stable"):
+            grab = min(shortfall, int(leftovers[idx]))
+            taken[idx] += grab
+            shortfall -= grab
+            if shortfall == 0:
+                break
+    demand_part -= taken
+    return taken
+
+
 def deal_types(demand: np.ndarray, quotas: np.ndarray,
                rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Turn per-workload demand and per-server quotas into an allocation.
@@ -249,3 +288,164 @@ def deal_types(demand: np.ndarray, quotas: np.ndarray,
     flat = np.bincount(server_of_job * NUM_WORKLOADS + types,
                        minlength=len(quotas) * NUM_WORKLOADS)
     return flat.reshape(len(quotas), NUM_WORKLOADS)
+
+
+# -- shared policy bases ---------------------------------------------------
+
+
+class VMTScheduler(Scheduler):
+    """Eq. 1 grouping and the dealing pass every VMT policy places with.
+
+    Owns the grouping value in force -- the configured one, or the live
+    override :meth:`retarget_grouping` installed, snapshotted as
+    ``gv_override`` -- and the Eq. 1/2 :class:`GroupSizer` built from
+    it.  :meth:`reset` returns to the configured value.
+    """
+
+    def __init__(self, config: SimulationConfig, **kwargs) -> None:
+        super().__init__(config, **kwargs)
+        self._gv_override: float = config.scheduler.grouping_value
+        self._sizer = self._group_sizer()
+
+    def _group_sizer(self) -> GroupSizer:
+        return GroupSizer(grouping_value=self._gv_override,
+                          melt_temp_c=self._config.wax.melt_temp_c,
+                          num_servers=self._config.num_servers)
+
+    @property
+    def sizer(self) -> GroupSizer:
+        """The Eq. 1/2 group sizing in force."""
+        return self._sizer
+
+    def retarget_grouping(self, grouping_value: float) -> None:
+        grouping_value = float(grouping_value)
+        if grouping_value == self._gv_override:
+            return
+        self._gv_override = grouping_value
+        self._sizer = self._group_sizer()
+
+    def reset(self) -> None:
+        super().reset()
+        self.retarget_grouping(self._config.scheduler.grouping_value)
+
+    def state_dict(self) -> dict:
+        state = super().state_dict()
+        state["gv_override"] = self._gv_override
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        # .get(): snapshots written before live retargeting existed
+        # carry no override and restore to the configured GV.
+        self.retarget_grouping(
+            state.get("gv_override",
+                      self._config.scheduler.grouping_value))
+
+    def _spread(self, demand_part: np.ndarray, ids: np.ndarray,
+                free: np.ndarray, allocation: np.ndarray, *,
+                pack: bool = False,
+                per_server_cap: Optional[int] = None) -> None:
+        """Place as much of ``demand_part`` as fits on ``ids``.
+
+        Takes :func:`take_share` of what fits, then ``pack=False``
+        spreads it evenly (waterfill, remainder rotated by the tick);
+        ``pack=True`` fills servers in id order ("added sequentially").
+        ``per_server_cap`` limits how much any one server may receive in
+        this pass (the keep-warm cap).  Mutates ``demand_part``,
+        ``free`` and ``allocation``.
+        """
+        if len(ids) == 0 or demand_part.sum() == 0:
+            return
+        caps = free[ids]
+        if per_server_cap is not None:
+            caps = np.minimum(caps, per_server_cap)
+        taken = take_share(demand_part, int(caps.sum()))
+        amount = int(taken.sum())
+        if amount == 0:
+            return
+        if pack:
+            quotas = pack_quotas(amount, caps, np.arange(len(ids)))
+        else:
+            quotas = waterfill_quotas(amount, caps, tie_offset=self._tick)
+        allocation[ids] += deal_types(taken, quotas, rng=self._rng)
+        free[ids] -= quotas
+
+
+class JobPersistentScheduler(Scheduler):
+    """The baselines' job map: jobs stay where they land, with churn.
+
+    Jobs placed in earlier ticks stay until they complete (an
+    exponential lifetime: ``churn_per_tick`` of the running jobs finish
+    each minute).  Every tick clears the rows of failed servers, draws
+    the completions, drains each shrinking workload's excess and deals
+    the arrivals -- completions, displaced jobs and demand growth.  A
+    subclass supplies only its quota rule, :meth:`_quotas`.
+    """
+
+    def __init__(self, *args, churn_per_tick: float = DEFAULT_CHURN_PER_TICK,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if not 0.0 <= churn_per_tick <= 1.0:
+            raise ConfigurationError("churn must be in [0, 1]")
+        self._churn = churn_per_tick
+        self._alloc: Optional[np.ndarray] = None
+
+    @abc.abstractmethod
+    def _quotas(self, total: int, capacities: np.ndarray,
+                view: ClusterView, *, drain: bool) -> np.ndarray:
+        """Per-server counts of ``total`` jobs within ``capacities``.
+
+        ``drain`` is true for departures (``capacities`` is then one
+        workload's column of the job map) and false for arrivals (the
+        free cores).
+        """
+
+    def reset(self) -> None:
+        super().reset()
+        self._alloc = None
+
+    def state_dict(self) -> dict:
+        state = super().state_dict()
+        state["alloc"] = None if self._alloc is None else self._alloc.copy()
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        alloc = state["alloc"]
+        self._alloc = (None if alloc is None
+                       else np.asarray(alloc, dtype=np.int64).copy())
+
+    def _place(self, demand: np.ndarray, view: ClusterView) -> Placement:
+        if self._alloc is None or len(self._alloc) != view.num_servers:
+            self._alloc = np.zeros((view.num_servers, NUM_WORKLOADS),
+                                   dtype=np.int64)
+        alloc = self._alloc
+
+        # Failures: jobs on dead servers are lost; clearing their rows
+        # drops the placed count, so the displaced jobs re-enter the
+        # arrival stream below and land on survivors.
+        if view.active_mask is not None:
+            alloc[~view.active_mask] = 0
+
+        # Churn: a fraction of running jobs completes this minute; the
+        # replacements re-enter the arrival stream below.
+        if self._churn > 0 and alloc.sum():
+            alloc -= self._rng.binomial(alloc, self._churn)
+
+        # Departures: each shrinking workload's excess finishes.
+        placed = alloc.sum(axis=0)
+        for w in range(NUM_WORKLOADS):
+            excess = int(placed[w] - demand[w])
+            if excess > 0:
+                alloc[:, w] -= self._quotas(excess, alloc[:, w], view,
+                                            drain=True)
+
+        # Arrivals: deal the new jobs by the policy's quota rule.
+        new = np.maximum(demand - alloc.sum(axis=0), 0)
+        total_new = int(new.sum())
+        if total_new:
+            free = view.capacity_vector() - alloc.sum(axis=1)
+            quotas = self._quotas(total_new, free, view, drain=False)
+            alloc += deal_types(new, quotas, rng=self._rng)
+
+        return Placement(allocation=alloc.copy())

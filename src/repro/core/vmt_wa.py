@@ -34,8 +34,8 @@ from ..config import SimulationConfig
 from ..errors import SchedulingError
 from ..workloads.workload import HOT_INDICES, WORKLOAD_LIST
 from .grouping import GroupSizer
-from .scheduler import (NUM_WORKLOADS, Placement, Scheduler, deal_types,
-                        pack_quotas, waterfill_quotas)
+from .scheduler import (NUM_WORKLOADS, Placement, VMTScheduler, deal_types,
+                        take_share)
 from .vmt_ta import split_demand
 
 
@@ -79,7 +79,7 @@ def keep_warm_cores(config: SimulationConfig, margin_c: float = 1.0,
     return min(cores, config.server.cores)
 
 
-class VMTWaxAwareScheduler(Scheduler):
+class VMTWaxAwareScheduler(VMTScheduler):
     """Dynamic hot-group extension driven by the wax state estimate."""
 
     def __init__(self, config: SimulationConfig, *,
@@ -92,11 +92,6 @@ class VMTWaxAwareScheduler(Scheduler):
                  divergence_ticks: int = 12,
                  **kwargs) -> None:
         super().__init__(config, **kwargs)
-        self._base_sizer = GroupSizer(
-            grouping_value=config.scheduler.grouping_value,
-            melt_temp_c=config.wax.melt_temp_c,
-            num_servers=config.num_servers,
-        )
         self._wax_threshold = config.scheduler.wax_threshold
         if not 0.0 <= melted_hysteresis <= self._wax_threshold:
             raise SchedulingError(
@@ -111,7 +106,9 @@ class VMTWaxAwareScheduler(Scheduler):
         self._keep_warm_margin_c = keep_warm_margin_c
         self._keep_warm_min_util = keep_warm_min_utilization
         self._keep_warm_release_util = keep_warm_release_utilization
-        self._hot_size = self._base_sizer.hot_size
+        # Re-derived from the sizer every tick (_update_group_size), so
+        # a retargeted GV needs no other bookkeeping.
+        self._hot_size = self._sizer.hot_size
         self._per_core_power = np.array(
             [w.per_core_power_w(config.server.cores_per_socket)
              for w in WORKLOAD_LIST])
@@ -124,7 +121,6 @@ class VMTWaxAwareScheduler(Scheduler):
         self._prev_estimate: Optional[np.ndarray] = None
         self._suspect_ticks: Optional[np.ndarray] = None
         self._divergence_checked_tick = -1
-        self._gv_override: float = config.scheduler.grouping_value
 
     @property
     def name(self) -> str:
@@ -132,21 +128,8 @@ class VMTWaxAwareScheduler(Scheduler):
 
     @property
     def base_sizer(self) -> GroupSizer:
-        """The Eq. 1/2 minimum group sizing."""
-        return self._base_sizer
-
-    def retarget_grouping(self, grouping_value: float) -> None:
-        grouping_value = float(grouping_value)
-        if grouping_value == self._gv_override:
-            return
-        self._gv_override = grouping_value
-        self._base_sizer = GroupSizer(
-            grouping_value=grouping_value,
-            melt_temp_c=self._config.wax.melt_temp_c,
-            num_servers=self._config.num_servers,
-        )
-        # _hot_size is re-derived from the new base on the next tick's
-        # _update_group_size; no other cached state depends on the GV.
+        """The Eq. 1/2 minimum group sizing the hot group extends from."""
+        return self._sizer
 
     @property
     def hot_group_size(self) -> int:
@@ -188,8 +171,7 @@ class VMTWaxAwareScheduler(Scheduler):
 
     def reset(self) -> None:
         super().reset()
-        self.retarget_grouping(self._config.scheduler.grouping_value)
-        self._hot_size = self._base_sizer.hot_size
+        self._hot_size = self._sizer.hot_size
         self._degraded = False
         self._prev_estimate = None
         self._suspect_ticks = None
@@ -211,7 +193,6 @@ class VMTWaxAwareScheduler(Scheduler):
             prev_estimate=opt(self._prev_estimate),
             suspect_ticks=opt(self._suspect_ticks),
             divergence_checked_tick=self._divergence_checked_tick,
-            gv_override=self._gv_override,
         )
         return state
 
@@ -220,10 +201,6 @@ class VMTWaxAwareScheduler(Scheduler):
             return (None if value is None
                     else np.asarray(value, dtype=dtype).copy())
         super().load_state_dict(state)
-        # .get(): pre-live snapshots carry no override.
-        self.retarget_grouping(
-            state.get("gv_override",
-                      self._config.scheduler.grouping_value))
         self._kept_warm = np.asarray(state["kept_warm"], dtype=bool).copy()
         self._prev_power_w = opt(state["prev_power_w"], np.float64)
         self._inlet_est = opt(state["inlet_est"], np.float64)
@@ -240,7 +217,7 @@ class VMTWaxAwareScheduler(Scheduler):
         registry.gauge("scheduler.degraded",
                        lambda: 1.0 if self._degraded else 0.0)
         registry.gauge("scheduler.base_hot_group_size",
-                       lambda: float(self._base_sizer.hot_size))
+                       lambda: float(self._sizer.hot_size))
 
     # -- estimator health ---------------------------------------------------
 
@@ -365,66 +342,14 @@ class VMTWaxAwareScheduler(Scheduler):
         """Restart from the minimum size and add one per melted server."""
         if self._degraded:
             # The estimate is untrustworthy: hold the static TA sizing.
-            self._hot_size = min(self._base_sizer.hot_size,
+            self._hot_size = min(self._sizer.hot_size,
                                  view.num_servers)
             return
         melted = int(np.count_nonzero(self._melted_mask(view)))
         self._hot_size = min(view.num_servers,
-                             self._base_sizer.hot_size + melted)
+                             self._sizer.hot_size + melted)
 
     # -- placement helpers ---------------------------------------------------
-
-    def _take(self, demand_part: np.ndarray, amount: int) -> np.ndarray:
-        """Remove up to ``amount`` jobs from ``demand_part`` (in place).
-
-        Jobs are taken proportionally across the part's workloads so the
-        spilled remainder keeps its type mix.
-        """
-        total = int(demand_part.sum())
-        amount = min(amount, total)
-        if amount == 0:
-            return np.zeros(NUM_WORKLOADS, dtype=np.int64)
-        taken = np.minimum(demand_part, (demand_part * amount) // total)
-        shortfall = amount - int(taken.sum())
-        if shortfall > 0:
-            leftovers = demand_part - taken
-            for idx in np.argsort(-leftovers):
-                grab = min(shortfall, int(leftovers[idx]))
-                taken[idx] += grab
-                shortfall -= grab
-                if shortfall == 0:
-                    break
-        demand_part -= taken
-        return taken
-
-    def _spread(self, demand_part: np.ndarray, ids: np.ndarray,
-                free: np.ndarray, allocation: np.ndarray, *,
-                pack: bool = False,
-                per_server_cap: Optional[int] = None) -> None:
-        """Place as much of ``demand_part`` as fits on ``ids``.
-
-        ``pack=False`` spreads evenly (waterfill); ``pack=True`` fills
-        servers in id order ("added sequentially").  ``per_server_cap``
-        limits how much any one server may receive in this pass (the
-        keep-warm cap).  Mutates ``demand_part``, ``free``, and
-        ``allocation``.
-        """
-        if len(ids) == 0 or demand_part.sum() == 0:
-            return
-        caps = free[ids].copy()
-        if per_server_cap is not None:
-            caps = np.minimum(caps, per_server_cap)
-        capacity = int(caps.sum())
-        taken = self._take(demand_part, capacity)
-        amount = int(taken.sum())
-        if amount == 0:
-            return
-        if pack:
-            quotas = pack_quotas(amount, caps, np.arange(len(ids)))
-        else:
-            quotas = waterfill_quotas(amount, caps, tie_offset=self._tick)
-        allocation[ids] += deal_types(taken, quotas, rng=self._rng)
-        free[ids] -= quotas
 
     def _fill_targets(self, demand_part: np.ndarray, ids: np.ndarray,
                       targets: np.ndarray, free: np.ndarray,
@@ -446,10 +371,12 @@ class VMTWaxAwareScheduler(Scheduler):
             scaled = (targets * available) // total_target
             shortfall = available - int(scaled.sum())
             remainders = targets * available - scaled * total_target
+            # Default kind on purpose: a stable sort here moves the
+            # VMT-WA and VMT-Preserve goldens (reproduction notes, §11).
             order = np.argsort(-remainders)
             scaled[order[:shortfall]] += 1
             targets = scaled
-        taken = self._take(demand_part, int(targets.sum()))
+        taken = take_share(demand_part, int(targets.sum()))
         allocation[ids] += deal_types(taken, targets, rng=self._rng)
         free[ids] -= targets
 
@@ -495,7 +422,7 @@ class VMTWaxAwareScheduler(Scheduler):
         self._update_group_size(view)
 
         hot_demand, cold_demand = split_demand(demand)
-        base_size = min(self._base_sizer.hot_size, view.num_servers)
+        base_size = min(self._sizer.hot_size, view.num_servers)
         hot_ids = np.arange(self._hot_size)
         cold_ids = np.arange(self._hot_size, view.num_servers)
         if self._degraded:

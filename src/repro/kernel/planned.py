@@ -136,11 +136,11 @@ def plannable(sim, t1: int) -> bool:
 def _fitted_slice(rows: np.ndarray, capacity: int) -> np.ndarray:
     """The part of each tick's demand an own-group pass places.
 
-    ``VMTThermalAwareScheduler._place_group`` on a group of ``capacity``
-    free cores, vectorized across ticks: all of it when the demand fits;
-    otherwise each workload's proportional share rounded down, with the
-    shortfall granted in order of larger leftover first (lower workload
-    index on ties).
+    :func:`~repro.core.scheduler.take_share` of ``capacity`` free cores
+    (the take of every VMT dealing pass), vectorized across ticks: all
+    of it when the demand fits; otherwise each workload's proportional
+    share rounded down, with the shortfall granted in order of larger
+    leftover first (lower workload index on ties).
     """
     totals = rows.sum(axis=1)
     fit = np.minimum(totals, capacity)

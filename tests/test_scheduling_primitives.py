@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheduler import (NUM_WORKLOADS, deal_types, pack_quotas,
-                                  waterfill_quotas)
+                                  take_share, waterfill_quotas)
 from repro.errors import CapacityError, SchedulingError
+from repro.kernel.planned import _fitted_slice
 
 
 class TestWaterfill:
@@ -121,6 +122,39 @@ class TestPack:
                 assert q == 0
             if q < 32:
                 seen_partial = True
+
+
+class TestTakeShare:
+    def test_proportional_share_keeps_the_mix(self):
+        part = np.array([8, 0, 4, 0, 0])
+        taken = take_share(part, 6)
+        assert list(taken) == [4, 0, 2, 0, 0]
+        assert list(part) == [4, 0, 2, 0, 0]
+
+    def test_shortfall_ties_go_to_the_lower_workload(self):
+        # Both leftovers are 1: the lower index takes the one job, on
+        # every host (an unstable argsort may pick workload 3).
+        part = np.array([0, 0, 1, 1, 0])
+        taken = take_share(part, 1)
+        assert list(taken) == [0, 0, 1, 0, 0]
+        assert list(part) == [0, 0, 0, 1, 0]
+
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=12),
+                             min_size=NUM_WORKLOADS,
+                             max_size=NUM_WORKLOADS),
+                    min_size=1, max_size=8),
+           st.integers(min_value=0, max_value=60))
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_planned_closed_form(self, rows, capacity):
+        # The planned kernel's vectorized slice is the same take, row by
+        # row, so the scalar pass and the closed form cannot drift.
+        rows = np.asarray(rows, dtype=np.int64)
+        planned = _fitted_slice(rows, capacity)
+        for row, expected in zip(rows, planned):
+            part = row.copy()
+            taken = take_share(part, capacity)
+            assert np.array_equal(taken, expected)
+            assert np.array_equal(part, row - expected)
 
 
 class TestDealTypes:
