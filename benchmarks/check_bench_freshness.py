@@ -32,13 +32,16 @@ import subprocess
 BENCH = "BENCH_perf.json"
 
 #: What every section's runs go through: the tick drivers, the segment
-#: loop, the schedulers' placement, the metrics collector and the runner.
+#: loop, the schedulers' placement, the cluster's physics stage and the
+#: thermal models it runs, the metrics collector and the runner.
 KERNEL = (
     "src/repro/core",
     "src/repro/kernel",
     "src/repro/perf",
+    "src/repro/cluster/cluster.py",
     "src/repro/cluster/simulation.py",
     "src/repro/cluster/metrics.py",
+    "src/repro/thermal",
 )
 
 _SCALING = "benchmarks/bench_perf_scaling.py"

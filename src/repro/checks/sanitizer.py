@@ -180,7 +180,7 @@ class SimulationSanitizer:
                         placement: Placement) -> None:
         """Audit the tick's inputs and the scheduler's placement.
 
-        Runs after ``scheduler.place`` and before ``cluster.step``; in
+        Runs after ``scheduler.place`` and before ``cluster.advance``; in
         full mode it also snapshots the pre-step wax enthalpy for the
         energy-balance audit in :meth:`check_state`.
         """

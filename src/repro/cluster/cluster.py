@@ -16,6 +16,10 @@ The physical pipeline per tick mirrors the paper's DCsim model:
 5. the cooling load for the tick is ``sum(P) - sum(q_wax)``;
 6. the on-server estimator integrates its lookup table from *sensed*
    temperatures, once per minute, and reports to the scheduler.
+
+:meth:`Cluster.advance` runs that chain over a block of ticks -- a
+planned segment, or the per-tick driver's one row -- and the metrics
+collector computes step 5 from the block it returns.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from ..thermal.server_thermal import ServerAirModel
 from ..thermal.throttling import CPUThermalModel
 from ..thermal.wax_estimator import WaxStateEstimator
 from ..workloads.workload import WORKLOAD_LIST
-from .metrics import Profile, add_timing
+from .metrics import Profile, TickBlock, add_timing
 from .state import ClusterView
 
 
@@ -58,20 +62,16 @@ class Cluster:
     power and accept no jobs, sensor faults corrupt the readings handed
     to the scheduler and the wax estimator, and a cooling derate warms
     every inlet.  Without one, every code path is identical to the
-    fault-free build.  ``profile`` is a profiled run's timing dict:
-    :meth:`step` adds its ``air_model``, ``pcm`` and ``estimator``
-    sections to it.
+    fault-free build.
     """
 
     def __init__(self, config: SimulationConfig,
                  rng_streams: Optional[RngStreams] = None, *,
-                 fault_state: Optional["FaultState"] = None,
-                 profile: Optional[Profile] = None) -> None:
+                 fault_state: Optional["FaultState"] = None) -> None:
         config.validate()
         self._config = config
         self._n = config.num_servers
         self._faults = fault_state
-        self._profile = profile
         streams = rng_streams if rng_streams is not None \
             else RngStreams(config.seed)
 
@@ -101,11 +101,6 @@ class Cluster:
         self._last_q_wax = np.zeros(self._n)
         self._last_melt_fraction = self._pcm.melt_fraction
         self._time_s = 0.0
-        # The stepped kernel driver clears this to skip re-validating
-        # allocations that Scheduler.place already checked; it only
-        # changes which error is raised on a bad allocation, never the
-        # physics of a successful step.
-        self._validate = True
 
     # -- static facts -----------------------------------------------------
 
@@ -164,10 +159,10 @@ class Cluster:
     # -- zero-copy state views ----------------------------------------------
     #
     # The public properties above defensively copy so external callers
-    # can never corrupt the physics.  The per-tick metrics path reads
-    # four of those arrays every minute of simulated time; these views
-    # expose the same values without allocation.  They are read-only and
-    # only valid until the next :meth:`step`.
+    # can never corrupt the physics.  The sanitizer's per-tick audits
+    # read four of those arrays every minute of simulated time; these
+    # views expose the same values without allocation.  They are
+    # read-only and only valid until the next :meth:`advance`.
 
     @property
     def air_temp_c_view(self) -> np.ndarray:
@@ -189,8 +184,8 @@ class Cluster:
         """Read-only view of the melt fractions after the last step.
 
         Unlike :attr:`wax_melt_fraction` this does not recompute the
-        enthalpy-to-fraction mapping: :meth:`step` already needs the
-        fractions for estimator anchoring and caches them.
+        enthalpy-to-fraction mapping: :meth:`advance` already needs the
+        fractions for estimator anchoring and keeps the last tick's.
         """
         return _readonly(self._last_melt_fraction)
 
@@ -333,77 +328,17 @@ class Cluster:
         return allocation
 
     def step(self, allocation: np.ndarray, dt_s: float) -> Dict[str, float]:
-        """Advance the cluster one tick under a core allocation.
+        """Advance the cluster one tick under a validated core allocation.
 
-        Returns a summary dict with the tick's cluster totals:
-        ``power_w`` (IT power), ``wax_absorption_w`` (heat into wax) and
-        ``cooling_load_w`` (their difference).
+        The one-row call of :meth:`advance`.  Returns a summary dict
+        with the tick's cluster totals: ``power_w`` (IT power),
+        ``wax_absorption_w`` (heat into wax) and ``cooling_load_w``
+        (their difference).
         """
         if dt_s <= 0:
             raise SimulationError("dt must be positive")
-        if self._validate:
-            allocation = self._check_allocation(allocation)
-        else:
-            allocation = np.asarray(allocation)
-        faults = self._faults
-        if faults is not None:
-            dead_load = ~faults.active & (allocation.sum(axis=1) > 0)
-            if np.any(dead_load):
-                raise SimulationError(
-                    "allocation places jobs on failed server "
-                    f"{int(np.flatnonzero(dead_load)[0])}")
-        if faults is not None or self._ambient is not None:
-            # One uniform offset feeds the air model: scripted weather
-            # (ambient profile) plus any cooling-derate rise.  Both are
-            # deterministic functions of clock/config, so this needs no
-            # snapshot state beyond the air model's own offset field.
-            offset = faults.inlet_offset_c if faults is not None else 0.0
-            if self._ambient is not None:
-                offset += self._ambient.offset_c_at(self._time_s)
-            self._air.set_inlet_offset(offset)
-
-        dynamic = allocation.astype(np.float64) @ self._per_core_power
-        self._dynamic_w = dynamic
-        self._power_w = self._power_model.server_power(dynamic)
-        if faults is not None:
-            # Dead servers draw nothing -- not even the idle floor.
-            self._power_w = np.where(faults.active, self._power_w, 0.0)
-            self._dynamic_w = np.where(faults.active, dynamic, 0.0)
-
-        prof = self._profile
-        mark = time.perf_counter() if prof is not None else 0.0
-        t_air = self._air.step(self._power_w, dt_s)
-        if prof is not None:
-            now = time.perf_counter()
-            add_timing(prof, "air_model", now - mark)
-            mark = now
-        self._last_q_wax = self._pcm.step(
-            t_air, self._config.thermal.ha_w_per_k, dt_s)
-        if prof is not None:
-            now = time.perf_counter()
-            add_timing(prof, "pcm", now - mark)
-            mark = now
-        estimator_input = t_air
-        if faults is not None:
-            # The container-exterior sensor is what the estimator reads;
-            # its faults corrupt the estimate, not the physics.
-            estimator_input = faults.corrupt_wax(t_air, self._time_s)
-        self._estimator.update(estimator_input, dt_s)
-        # Re-anchor the estimate at the unambiguous sensor events: the
-        # container-exterior sensor pins full-solid / full-liquid states.
-        # A faulted wax sensor cannot signal those events, so its servers
-        # are excluded from anchoring.
-        truth = self._pcm.melt_fraction
-        anchored = (truth <= 0.0) | (truth >= 1.0)
-        if faults is not None:
-            anchored = anchored & ~faults.wax_sensor_faulty
-        if np.any(anchored):
-            self._estimator.correct(truth, mask=anchored)
-        if prof is not None:
-            add_timing(prof, "estimator", time.perf_counter() - mark)
-        self._last_melt_fraction = truth
-        self._time_s += dt_s
-
+        allocation = self._check_allocation(allocation)
+        self.advance(allocation[np.newaxis], dt_s)
         total_power = float(self._power_w.sum())
         total_absorbed = float(self._last_q_wax.sum())
         return {
@@ -411,3 +346,107 @@ class Cluster:
             "wax_absorption_w": total_absorbed,
             "cooling_load_w": total_power - total_absorbed,
         }
+
+    def advance(self, alloc_block: np.ndarray, dt_s: float,
+                profile: Optional[Profile] = None) -> TickBlock:
+        """Advance the cluster over a block of ticks.
+
+        Row ``t`` of ``alloc_block`` -- ``(T, n, K)`` core counts, or
+        ``(T, n * K)`` flattened -- is tick ``t``'s allocation, trusted
+        as placed (:meth:`step` validates one).  Every server runs the
+        paper's DCsim chain: linear power, then the block recurrences of
+        the air node, the wax and the estimator
+        (:meth:`ServerAirModel.advance`, :meth:`PCMBank.advance`,
+        :meth:`WaxStateEstimator.advance`), so a ``T``-row call leaves
+        the bits ``T`` one-row calls leave.  The fault state holds over
+        the block: failed servers draw no power, corrupted wax sensors
+        feed the estimator and are never re-anchored, and a cooling
+        derate warms every inlet, on top of the ambient profile's offset
+        at each tick's start.  ``profile`` gets the ``air_model``,
+        ``pcm`` and ``estimator`` sections, one call each.
+
+        Returns the block's rows for
+        :meth:`~repro.cluster.metrics.MetricsCollector.fill_block`.
+        """
+        if dt_s <= 0:
+            raise SimulationError("dt must be positive")
+        n = self._n
+        alloc = np.asarray(alloc_block, dtype=np.float64).reshape(
+            -1, n, len(WORKLOAD_LIST))
+        ticks = len(alloc)
+        faults = self._faults
+        if faults is not None:
+            dead = (alloc.sum(axis=2) > 0) & ~faults.active
+            if dead.any():
+                raise SimulationError(
+                    "allocation places jobs on failed server "
+                    f"{int(np.nonzero(dead)[1][0])}")
+        clock = [self._time_s]
+        for _ in range(ticks):
+            clock.append(clock[-1] + dt_s)
+        offsets = None
+        if faults is not None or self._ambient is not None:
+            # One uniform offset per tick feeds the air model: scripted
+            # weather (ambient profile) plus any cooling-derate rise.
+            # Both are deterministic functions of clock and config, so
+            # this needs no snapshot state beyond the air model's offset.
+            derate = faults.inlet_offset_c if faults is not None else 0.0
+            offsets = np.array(
+                [derate + self._ambient.offset_c_at(start)
+                 if self._ambient is not None else derate
+                 for start in clock[:-1]])
+
+        # One (n, K) @ (K,) product per tick, as a one-row call makes:
+        # a flat (T * n, K) product rounds a one-server cluster
+        # differently from its one-row calls.
+        dynamic = alloc @ self._per_core_power
+        power = self._power_model.server_power(dynamic)
+        if faults is not None:
+            # Dead servers draw nothing -- not even the idle floor.
+            power = np.where(faults.active, power, 0.0)
+            dynamic = np.where(faults.active, dynamic, 0.0)
+        max_cpu = self._cpu_model.junction_temp_c(
+            self._air.inlet_block(offsets), dynamic,
+            self._config.server).max(axis=1)
+
+        mark = time.perf_counter() if profile is not None else 0.0
+        temp = self._air.advance(power, dt_s, offsets)
+        if profile is not None:
+            now = time.perf_counter()
+            add_timing(profile, "air_model", now - mark)
+            mark = now
+        heat, melt = self._pcm.advance(
+            temp, self._config.thermal.ha_w_per_k, dt_s)
+        if profile is not None:
+            now = time.perf_counter()
+            add_timing(profile, "pcm", now - mark)
+            mark = now
+        if faults is None:
+            self._estimator.advance(temp, melt, dt_s)
+        else:
+            # The container-exterior sensor is what the estimator reads:
+            # its faults corrupt the estimate, not the physics, and a
+            # faulted sensor cannot signal the full-solid/full-liquid
+            # events that re-anchor it.
+            sensed = np.array([faults.corrupt_wax(row, start)
+                               for row, start in zip(temp, clock[:-1])])
+            self._estimator.advance(sensed, melt, dt_s,
+                                    ~faults.wax_sensor_faulty)
+        if profile is not None:
+            add_timing(profile, "estimator", time.perf_counter() - mark)
+
+        self._dynamic_w = dynamic[-1].copy()
+        self._power_w = power[-1].copy()
+        self._last_q_wax = heat[-1].copy()
+        self._last_melt_fraction = melt[-1].copy()
+        self._time_s = clock[-1]
+        return TickBlock(np.array(clock[1:]), power, heat, temp, melt,
+                         max_cpu)
+
+    def skip_views(self, ticks: int) -> None:
+        """Draw the sensor noise of ``ticks`` calls of :meth:`view` unread.
+
+        A planner whose placement never reads the sensed state leaves the
+        sensor's stream where the per-tick driver's views leave it.
+        """
+        self._sensor.skip((ticks, self._n))

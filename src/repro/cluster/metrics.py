@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +48,19 @@ _DEFAULT_CAPACITY = 1024
 Profile = Dict[str, Dict[str, float]]
 
 
+class TickBlock(NamedTuple):
+    """The physics of a block of ticks, row ``t`` for tick ``t``: what
+    :meth:`~repro.cluster.cluster.Cluster.advance` leaves for
+    :meth:`MetricsCollector.fill_block`."""
+
+    times_s: np.ndarray           #: (T,) cluster clock after each tick
+    power_w: np.ndarray           #: (T, n) IT power
+    wax_absorption_w: np.ndarray  #: (T, n) heat into the wax
+    air_temp_c: np.ndarray        #: (T, n) true air temperature at the wax
+    melt_fraction: np.ndarray     #: (T, n) true melt fraction
+    max_cpu_temp_c: np.ndarray    #: (T,) hottest CPU junction
+
+
 def add_timing(profile: Profile, section: str, elapsed_s: float) -> None:
     """Count one call of ``section`` that took ``elapsed_s`` seconds."""
     timing = profile.get(section)
@@ -62,9 +75,10 @@ class MetricsCollector:
     """Accumulates per-tick series during a simulation run.
 
     Buffers are preallocated numpy arrays, not growing Python lists:
-    pass ``capacity`` (normally ``trace.num_steps``) and every tick is a
-    handful of scalar stores into fixed storage.  When the capacity is
-    unknown (or underestimated) the buffers double transparently.
+    pass ``capacity`` (normally ``trace.num_steps``) and every block of
+    ticks (:meth:`fill_block`) is one slice store per series into fixed
+    storage.  When the capacity is unknown (or underestimated) the
+    buffers double transparently.
 
     ``record_heatmaps=False`` skips the (steps x servers) arrays to keep
     1,000-server parameter sweeps light.
@@ -80,7 +94,7 @@ class MetricsCollector:
             name: np.empty(self._capacity, dtype=dtype)
             for name, dtype in _SCALAR_SERIES}
         # Heatmap buffers need the server count; allocated lazily on the
-        # first record.
+        # first block.
         self._temp_map: Optional[np.ndarray] = None
         self._melt_map: Optional[np.ndarray] = None
 
@@ -98,105 +112,60 @@ class MetricsCollector:
                 grown[:self._size] = buffer[:self._size]
                 setattr(self, attr, grown)
 
-    def record(self, time_s: float, *, air_temp_c: np.ndarray,
-               melt_fraction: np.ndarray, power_w: np.ndarray,
-               wax_absorption_w: np.ndarray, jobs: int,
-               hot_mask: Optional[np.ndarray] = None,
-               max_cpu_temp_c: float = float("nan"),
-               availability: float = 1.0, displaced_jobs: int = 0,
-               cooling_capacity_factor: float = 1.0) -> None:
-        """Record one tick's state."""
-        if self._size == self._capacity:
-            self._grow()
-        idx = self._size
-        series = self._series
-        series["times_s"][idx] = time_s
-        series["max_cpu_temp_c"][idx] = max_cpu_temp_c
-        series["availability"][idx] = availability
-        series["displaced_jobs"][idx] = displaced_jobs
-        series["cooling_capacity_factor"][idx] = cooling_capacity_factor
-        total_power = float(power_w.sum())
-        total_absorbed = float(wax_absorption_w.sum())
-        series["it_power_w"][idx] = total_power
-        series["wax_absorption_w"][idx] = total_absorbed
-        series["cooling_load_w"][idx] = total_power - total_absorbed
-        series["mean_temp_c"][idx] = air_temp_c.mean()
-        series["mean_melt_fraction"][idx] = melt_fraction.mean()
-        series["jobs"][idx] = jobs
-        if hot_mask is not None and hot_mask.any():
-            series["hot_group_mean_temp_c"][idx] = \
-                air_temp_c[hot_mask].mean()
-            cold = ~hot_mask
-            series["cold_group_mean_temp_c"][idx] = (
-                air_temp_c[cold].mean() if cold.any() else float("nan"))
-            series["hot_group_size"][idx] = int(hot_mask.sum())
-        else:
-            series["hot_group_mean_temp_c"][idx] = float("nan")
-            series["cold_group_mean_temp_c"][idx] = float("nan")
-            series["hot_group_size"][idx] = 0
-        if self._record_heatmaps:
-            if self._temp_map is None:
-                width = len(air_temp_c)
-                self._temp_map = np.empty((self._capacity, width),
-                                          dtype=np.float32)
-                self._melt_map = np.empty((self._capacity, width),
-                                          dtype=np.float32)
-            self._temp_map[idx] = air_temp_c
-            self._melt_map[idx] = melt_fraction
-        self._size = idx + 1
+    def fill_block(self, block: TickBlock, *, jobs,
+                   hot_mask: Optional[np.ndarray] = None,
+                   availability=1.0, displaced_jobs=0,
+                   cooling_capacity_factor=1.0) -> None:
+        """Append the rows of one block of ticks.
 
-    def fill_block(self, *, times_s: np.ndarray,
-                   cooling_load_w: np.ndarray, it_power_w: np.ndarray,
-                   wax_absorption_w: np.ndarray, mean_temp_c: np.ndarray,
-                   hot_group_mean_temp_c: Optional[np.ndarray],
-                   cold_group_mean_temp_c: Optional[np.ndarray],
-                   mean_melt_fraction: np.ndarray, hot_group_size: int,
-                   jobs: np.ndarray, max_cpu_temp_c: np.ndarray,
-                   temp_map: Optional[np.ndarray] = None,
-                   melt_map: Optional[np.ndarray] = None) -> None:
-        """Append a block of fault-free ticks in one write.
-
-        The planned kernel computes every series as a column; this
-        stores them straight into the buffers after the rows already
-        recorded (none on a fresh collector, the restored prefix on a
-        resumed one) with no per-tick python, exactly as ``record``
-        would have, with the fault-only columns at their fault-free
-        defaults.  A group mean of ``None`` records NaN, as ``record``
-        does for an empty group.
+        ``block`` is what :meth:`~repro.cluster.cluster.Cluster.advance`
+        returned for the ticks.  ``jobs`` and the three fault columns
+        are each tick's value, or one value for every tick; ``hot_mask``
+        is the hot group over the block.  A group that is empty (or no
+        mask) records NaN for its mean.  The rows land after the ones
+        already recorded: none on a fresh collector, the restored
+        prefix on a resumed one.  Every series is a row reduction, so a
+        ``T``-row block stores the bits ``T`` one-row blocks store.
         """
+        temp = block.air_temp_c
         start = self._size
-        stop = start + len(times_s)
+        stop = start + len(temp)
         while self._capacity < stop:
             self._grow()
         rows = slice(start, stop)
         series = self._series
-        series["times_s"][rows] = times_s
-        series["cooling_load_w"][rows] = cooling_load_w
-        series["it_power_w"][rows] = it_power_w
-        series["wax_absorption_w"][rows] = wax_absorption_w
-        series["mean_temp_c"][rows] = mean_temp_c
-        series["hot_group_mean_temp_c"][rows] = (
-            np.nan if hot_group_mean_temp_c is None
-            else hot_group_mean_temp_c)
-        series["cold_group_mean_temp_c"][rows] = (
-            np.nan if cold_group_mean_temp_c is None
-            else cold_group_mean_temp_c)
-        series["mean_melt_fraction"][rows] = mean_melt_fraction
-        series["hot_group_size"][rows] = hot_group_size
+        it_power = block.power_w.sum(axis=1)
+        absorbed = block.wax_absorption_w.sum(axis=1)
+        series["times_s"][rows] = block.times_s
+        series["it_power_w"][rows] = it_power
+        series["wax_absorption_w"][rows] = absorbed
+        series["cooling_load_w"][rows] = it_power - absorbed
+        series["mean_temp_c"][rows] = temp.mean(axis=1)
+        series["mean_melt_fraction"][rows] = block.melt_fraction.mean(axis=1)
+        series["max_cpu_temp_c"][rows] = block.max_cpu_temp_c
         series["jobs"][rows] = jobs
-        series["max_cpu_temp_c"][rows] = max_cpu_temp_c
-        series["availability"][rows] = 1.0
-        series["displaced_jobs"][rows] = 0
-        series["cooling_capacity_factor"][rows] = 1.0
-        if self._record_heatmaps and temp_map is not None:
+        series["availability"][rows] = availability
+        series["displaced_jobs"][rows] = displaced_jobs
+        series["cooling_capacity_factor"][rows] = cooling_capacity_factor
+        hot_size = 0 if hot_mask is None else int(np.count_nonzero(hot_mask))
+        series["hot_group_size"][rows] = hot_size
+        # compress keeps each group row contiguous (a boolean index on
+        # axis 1 would not), so its mean is the 1-D mean of that row.
+        series["hot_group_mean_temp_c"][rows] = (
+            temp.compress(hot_mask, axis=1).mean(axis=1) if hot_size
+            else np.nan)
+        series["cold_group_mean_temp_c"][rows] = (
+            temp.compress(~hot_mask, axis=1).mean(axis=1)
+            if 0 < hot_size < temp.shape[1] else np.nan)
+        if self._record_heatmaps:
             if self._temp_map is None:
-                width = temp_map.shape[1]
+                width = temp.shape[1]
                 self._temp_map = np.empty((self._capacity, width),
                                           dtype=np.float32)
                 self._melt_map = np.empty((self._capacity, width),
                                           dtype=np.float32)
-            self._temp_map[rows] = temp_map
-            self._melt_map[rows] = melt_map
+            self._temp_map[rows] = temp
+            self._melt_map[rows] = block.melt_fraction
         self._size = stop
 
     @property

@@ -103,8 +103,7 @@ class ClusterSimulation:
                 capacity=config.trace.num_steps)
         self._profile: Optional[Profile] = {} if profile else None
         self._cluster = Cluster(config, self._streams,
-                                fault_state=fault_state,
-                                profile=self._profile)
+                                fault_state=fault_state)
         self._scheduler = scheduler
         if trace is None:
             trace = TwoDayTrace(config.trace).generate(
@@ -284,24 +283,17 @@ class ClusterSimulation:
             # The full demand (including any displaced jobs) has been
             # re-placed on surviving servers: pending failures recovered.
             self._fault_state.note_recovered(now_s)
-        self._cluster.step(placement.allocation,
-                           self._trace.step_seconds)
+        block = self._cluster.advance(placement.allocation[np.newaxis],
+                                      self._trace.step_seconds, prof)
         mark = time.perf_counter() if prof is not None else 0.0
         faults = self._fault_state
-        self._metrics.record(
-            self._cluster.time_s,
-            air_temp_c=self._cluster.air_temp_c_view,
-            melt_fraction=self._cluster.wax_melt_fraction_view,
-            power_w=self._cluster.power_w_view,
-            wax_absorption_w=self._cluster.wax_absorption_w_view,
-            jobs=int(demand.sum()),
+        self._metrics.fill_block(
+            block, jobs=int(demand.sum()),
             hot_mask=placement.hot_group_mask,
-            max_cpu_temp_c=float(self._cluster.cpu_junction_temp_c.max()),
             availability=1.0 if faults is None else faults.availability,
             displaced_jobs=displaced,
             cooling_capacity_factor=(1.0 if faults is None
-                                     else faults.cooling_factor),
-        )
+                                     else faults.cooling_factor))
         if prof is not None:
             add_timing(prof, "metrics", time.perf_counter() - mark)
         if sanitizer is not None:

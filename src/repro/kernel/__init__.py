@@ -18,15 +18,18 @@ configure:
   shadow simulations); a checkpointing run between two writes; a live
   run one decision or checkpoint interval at a time;
 * :mod:`.stepped` -- every other segment: the per-tick chain
-  (``Scheduler.place`` -> ``Cluster.step`` -> ``MetricsCollector.record``)
-  called once per tick, all policies, faults, telemetry, sanitizer,
-  observers and live rows included.  Fault events are the only events
-  left on the engine; the driver drains them at tick boundaries.
+  (``Scheduler.place`` -> ``Cluster.advance`` ->
+  ``MetricsCollector.fill_block``) called once per tick with one row,
+  all policies, faults, telemetry, sanitizer, observers and live rows
+  included.  Fault events are the only events left on the engine; the
+  driver drains them at tick boundaries.
 
-Both drivers are bit-identical to the per-tick chain: same RNG stream
-consumption, same IEEE-754 operation order per element, same recorded
-series -- ``SimulationResult.fingerprint()`` is the enforced contract
-(see ``tests/test_kernel_equivalence.py``).
+Both drivers run the same physics and metrics stages, a planned segment
+as one block and a stepped tick as a block of one row, so they are
+bit-identical: same RNG stream consumption, same IEEE-754 operation
+order per element, same recorded series --
+``SimulationResult.fingerprint()`` is the enforced contract (see
+``tests/test_kernel_equivalence.py``).
 
 The ``backend`` keyword that used to choose between an event-heap loop
 and these drivers selects nothing any more; every surface still accepts
@@ -58,6 +61,10 @@ def check_backend(backend: Optional[str]) -> None:
 
 
 def is_numba_available() -> bool:
-    """Whether the optional numba-compiled physics loop is importable."""
-    from . import njit
-    return njit.HAS_NUMBA
+    """Retired: always ``False``.
+
+    The numba-compiled physics loop is gone; every run takes the numpy
+    block stage (:meth:`~repro.cluster.cluster.Cluster.advance`).  Run
+    provenance still records the answer.
+    """
+    return False

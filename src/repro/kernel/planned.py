@@ -32,23 +32,22 @@ The kernel preserves bit-identity with the per-tick chain
   recurrence, but it never reads the sensed state, so the scheduler's
   own ``place`` runs tick by tick against one fixed fault-free view --
   same draws, same conservation checks, same end state.
-* **Physics**: every expression is applied with the same IEEE-754
-  operation order per element as the reference models; only the loop
-  structure changes (elementwise ops are batched across ticks, the
-  air/PCM state recurrence stays a per-tick loop, optionally compiled by
-  :mod:`.njit`).
-* **Metrics**: per-row reductions (``row.mean()``) and axis reductions
-  over C-contiguous rows (``block.mean(axis=1)``) use the same pairwise
-  summation, so recorded series match bitwise;
-  :meth:`MetricsCollector.fill_block` writes them into the same buffers
-  ``record`` would have filled, NaN where a group is empty.
+* **Physics and metrics**: the per-tick driver's own stages, called
+  with the whole span as one block --
+  :meth:`~repro.cluster.cluster.Cluster.advance` (power, air, wax and
+  estimator recurrences; every expression with the same IEEE-754
+  operation order per element whatever the block length) and
+  :meth:`~repro.cluster.metrics.MetricsCollector.fill_block` (row
+  reductions, the same pairwise summation for one row or many).  The
+  air sensor's stream is consumed as the per-tick views would
+  (:meth:`~repro.cluster.cluster.Cluster.skip_views`).
 
 The kernel plans any span of ticks ``[t0, t1)`` (:func:`advance`) and
 leaves exactly the state the per-tick driver leaves after firing tick
 ``t1 - 1``: the scheduler keeps its state (tick, RNG, round-robin's job
 map, a retargeted grouping value), the physics recurrences start from
-the current air, wax and estimator state, the metrics clock continues
-from the cluster time, and the new rows append after the recorded ones.
+the cluster's current state, the cluster clock continues, and the new
+metrics rows append after the recorded ones.
 :meth:`~repro.cluster.simulation.ClusterSimulation._advance` calls it
 for every segment that :func:`plannable` accepts, so a run restored
 from a snapshot is planned over its remaining ticks, a checkpointing
@@ -56,17 +55,14 @@ run is planned in segments with each snapshot written between two of
 them, and a live run plans each decision or checkpoint interval once
 its rows have arrived.
 
-What stays python: the planning loop (per tick, one shuffle per placing
+What stays here is the placement plan (per tick, one shuffle per placing
 pass and one bincount for VMT-TA; the scheduler's ``place`` for
-round-robin) and the state recurrences.  Everything else -- power model,
-air targets, junction temps, sensor/estimator noise, enthalpy-delta heat
-flow, melt-fraction truth, every recorded series -- is a handful of
-whole-run numpy kernels over preallocated blocks.
+round-robin) and the scheduler, engine and step counters the per-tick
+driver would have moved.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Optional
 
@@ -80,15 +76,6 @@ from ..workloads.workload import COLD_INDICES, HOT_INDICES, WORKLOAD_LIST
 
 _K = len(WORKLOAD_LIST)
 
-try:
-    # The ufunc np.clip dispatches to: same kernel, same bits, without
-    # the per-call dispatch overhead (it runs once per tick in the
-    # estimator recurrence).
-    from numpy._core.umath import clip as _clip_ufunc
-except ImportError:  # pragma: no cover - numpy internals moved
-    def _clip_ufunc(a, lo, hi, out):
-        return np.clip(a, lo, hi, out=out)
-
 
 def eligible(sim) -> bool:
     """Whether ``sim``'s next ticks can be planned.
@@ -96,27 +83,18 @@ def eligible(sim) -> bool:
     Eligibility mirrors exactly the situations where planning ahead is
     provably equivalent: a clean open-loop run (VMT-TA at any grouping
     value, or round-robin) -- no faults, no sanitizer, no telemetry or
-    observers, no ambient profile, a non-degenerate PCM -- whose
-    recorded metrics rows match its tick.  :func:`plannable` adds the
-    per-span capacity check.
+    observers, no ambient profile -- whose recorded metrics rows match
+    its tick.  :func:`plannable` adds the per-span capacity check.
     """
     if type(sim._scheduler) not in (VMTThermalAwareScheduler,
                                     RoundRobinScheduler):
         return False
-    if (sim._injector is not None
-            or sim._sanitizer is not None
-            or sim._telemetry is not None
-            or sim._observers
-            or sim._metrics.size != sim._step_index
-            or sim._cluster._ambient is not None):
-        return False
-    config = sim._config
-    wax = config.wax
-    # Degenerate PCM: the reference models switch to special-cased
-    # branches (zero heat flow, step-function melt fraction) that are
-    # not worth mirroring here.
-    return (wax.mass_kg > 0 and wax.latent_heat_j_per_kg > 0
-            and config.thermal.ha_w_per_k != 0)
+    return not (sim._injector is not None
+                or sim._sanitizer is not None
+                or sim._telemetry is not None
+                or sim._observers
+                or sim._metrics.size != sim._step_index
+                or sim._config.ambient.is_active)
 
 
 def plannable(sim, t1: int) -> bool:
@@ -330,12 +308,12 @@ def advance(sim, t1: int) -> None:
     Reads only rows ``[t0, t1)`` of the trace.  Afterwards ``sim``
     holds exactly the state the per-tick driver leaves after firing tick
     ``t1 - 1``: the metrics rows; the scheduler's tick, RNG and job map;
-    the cluster arrays and clock; ``_last_allocation``; the engine clock
-    at ``(t1 - 1) * dt``; and the dispatch counter, up by ``t1 - t0``.
-    The per-tick driver would fire the next tick at ``t1 * dt``.
-    It never resets the scheduler, so a retargeted grouping value
-    stays.  The caller checks :func:`plannable`, ``t0 < t1``, and that
-    the rows have arrived
+    the cluster's physics and clock (one :meth:`Cluster.advance` over the
+    block); ``_last_allocation``; the engine clock at ``(t1 - 1) * dt``;
+    and the dispatch counter, up by ``t1 - t0``.  The per-tick driver
+    would fire the next tick at ``t1 * dt``.  It never resets the
+    scheduler, so a retargeted grouping value stays.  The caller checks
+    :func:`plannable`, ``t0 < t1``, and that the rows have arrived
     (:meth:`~repro.cluster.simulation.ClusterSimulation._advance`).
     """
     prof = sim._profile
@@ -343,7 +321,7 @@ def advance(sim, t1: int) -> None:
     setup_start = clock()
     # The planned kernel bypasses ClusterSimulation._tick (where the
     # cooperative deadline is normally polled), so it checks the budget
-    # itself: every 256 plan-loop ticks and once after the fused physics.
+    # itself: every 256 plan-loop ticks and once after the physics.
     deadline = sim._deadline
     if deadline is not None:
         deadline.check()
@@ -351,160 +329,47 @@ def advance(sim, t1: int) -> None:
     config = sim._config
     cluster = sim._cluster
     sched = sim._scheduler
-    air = cluster._air
-    pcm = cluster._pcm
-    estimator = cluster._estimator
     engine = sim._engine
-
     n = config.num_servers
     t0 = sim._step_index
     counts = sim._trace._counts[t0:t1]
     T = t1 - t0
     dt = sim._trace.step_seconds
-    cores = config.server.cores
-
-    thermal = config.thermal
-    inlet = air._inlet  # fixed: no ambient profile, no cooling derates
-    r_air = thermal.r_air_c_per_w
-    alpha = 1.0 - math.exp(-dt / thermal.tau_air_s)
-    ha = thermal.ha_w_per_k
-
-    mass = pcm._mass
-    cp_s = pcm._cp_s
-    cp_l = pcm._cp_l
-    t_melt = pcm._t_melt
-    h_sol = pcm._h_sol
-    h_liq = pcm._h_liq
-    tau = mass * min(cp_s, cp_l) / ha
-    n_sub = max(1, int(math.ceil(dt / (0.25 * tau))))
-    sub_dt = dt / n_sub
-
     first_tick = sched._tick
 
     # ---- plan: replay the placement for every tick -----------------------
     plan_start = clock()
     if type(sched) is RoundRobinScheduler:
-        hs = 0  # no hot group: its metrics read NaN, as record() writes
-        view = ClusterView(time_s=cluster._time_s, num_servers=n,
-                           cores_per_server=cores,
-                           air_temp_c=air._temp.copy(),
-                           wax_melt_estimate=estimator._estimate.copy(),
-                           melt_temp_c=pcm.melt_temp_c)
+        hot_mask = None  # no hot group: its metrics read NaN
+        view = ClusterView(time_s=cluster.time_s, num_servers=n,
+                           cores_per_server=config.server.cores,
+                           air_temp_c=cluster.air_temp_c,
+                           wax_melt_estimate=cluster.wax_estimate_view,
+                           melt_temp_c=config.wax.melt_temp_c)
         alloc_block = _plan_round_robin(sched, counts, view, deadline)
     else:
-        hs = sched.sizer.hot_size
-        alloc_block = plan_vmt_ta(counts, n, cores, hs, sched._rng,
+        hot_size = sched.sizer.hot_size
+        hot_mask = np.arange(n) < hot_size
+        alloc_block = plan_vmt_ta(counts, n, config.server.cores,
+                                  hot_size, sched._rng,
                                   first_tick=first_tick, deadline=deadline)
-    dyn_block = np.matmul(alloc_block.reshape(T * n, _K),
-                          cluster._per_core_power).reshape(T, n)
     plan_elapsed = clock() - plan_start
 
-    # ---- fused physics ---------------------------------------------------
+    # ---- physics: the cluster's block stage ------------------------------
     step_start = clock()
-    power_block = cluster._power_model.server_power(dyn_block)
-    targets = power_block * r_air
-    targets += inlet
-
-    # Batched stream draws, identical values/state to per-tick draws.
-    sensor = cluster._sensor
-    if sensor._noise > 0:
-        # view() reads the air sensor every tick; open-loop policies
-        # never look at the sensed values, so only the stream
-        # consumption matters.
-        sensor._rng.normal(0.0, sensor._noise, size=(T, n))
-    est_noise = None
-    if estimator._sensor_noise > 0:
-        est_noise = estimator._rng.normal(0.0, estimator._sensor_noise,
-                                          size=(T, n))
-
-    temp_block = np.empty((T, n))
-    h_store = np.empty((T + 1, n))
-    h_store[0] = pcm._h
-    h_block = h_store[1:]
-
-    from . import njit
-    if njit.fused_air_pcm is not None:
-        njit.fused_air_pcm(targets, air._temp.copy(), h_store[0].copy(),
-                           temp_block, h_block, alpha, ha, sub_dt,
-                           n_sub, mass, cp_s, cp_l, t_melt, h_sol,
-                           h_liq)
-    else:
-        _python_air_pcm(targets, air._temp, h_store, temp_block,
-                        h_block, alpha, ha, sub_dt, n_sub, mass, cp_s,
-                        cp_l, t_melt, h_sol, h_liq)
-
-    # Heat into wax: enthalpy delta per tick, same expression as
-    # PCMBank.step's return value.
-    q_block = (h_block - h_store[:-1]) * mass / dt
-
-    # Estimator: rate lookup is elementwise (batch it); the clipped
-    # integration + anchoring is a cheap per-tick recurrence.
-    truth_block = np.clip((h_block - h_sol) / pcm._latent, 0.0, 1.0)
-    anchored = (truth_block <= 0.0) | (truth_block >= 1.0)
-    anchored_any = anchored.any(axis=1).tolist()
-    sensed = temp_block if est_noise is None else temp_block + est_noise
-    delta = sensed - estimator._t_melt
-    bins = np.clip(np.digitize(delta, estimator._bin_edges) - 1,
-                   0, len(estimator._rate_table) - 1)
-    rates_dt = estimator._rate_table[bins]
-    rates_dt *= dt
-    est = estimator._estimate.copy()
-    add = np.add
-    clip = _clip_ufunc
-    copyto = np.copyto
-    anchored_rows = list(anchored)
-    truth_rows = list(truth_block)
-    for t, rates_row in enumerate(rates_dt):
-        add(est, rates_row, out=est)
-        clip(est, 0.0, 1.0, est)
-        if anchored_any[t]:
-            # Same values as where(mask, truth, est); clip of the
-            # already-clipped truth is bitwise idempotent.
-            copyto(est, truth_rows[t], where=anchored_rows[t])
+    # Every per-tick view reads the air sensor; open-loop policies never
+    # look at the sensed values, so only the stream consumption matters.
+    cluster.skip_views(T)
+    block = cluster.advance(alloc_block, dt)
     step_elapsed = clock() - step_start
     if deadline is not None:
         deadline.check()
 
-    # ---- metrics ---------------------------------------------------------
     metrics_start = clock()
-    times = np.empty(T)
-    t_acc = cluster._time_s
-    for t in range(T):
-        t_acc += dt
-        times[t] = t_acc
-    it_power = power_block.sum(axis=1)
-    wax_abs = q_block.sum(axis=1)
-    junction = cluster._cpu_model.junction_temp_c(
-        inlet[None, :], dyn_block, config.server)
-    # An empty group's mean is NaN, exactly where record() writes NaN.
-    hot_mean = temp_block[:, :hs].mean(axis=1) if hs else None
-    cold_mean = temp_block[:, hs:].mean(axis=1) if 0 < hs < n else None
-    sim._metrics.fill_block(
-        times_s=times,
-        cooling_load_w=it_power - wax_abs,
-        it_power_w=it_power,
-        wax_absorption_w=wax_abs,
-        mean_temp_c=temp_block.mean(axis=1),
-        hot_group_mean_temp_c=hot_mean,
-        cold_group_mean_temp_c=cold_mean,
-        mean_melt_fraction=truth_block.mean(axis=1),
-        hot_group_size=hs,
-        jobs=counts.sum(axis=1),
-        max_cpu_temp_c=junction.max(axis=1),
-        temp_map=temp_block,
-        melt_map=truth_block,
-    )
+    sim._metrics.fill_block(block, jobs=counts.sum(axis=1),
+                            hot_mask=hot_mask)
     metrics_elapsed = clock() - metrics_start
 
-    # ---- sync live state to the reference values after tick t1 - 1 -------
-    air._temp = temp_block[T - 1].copy()
-    pcm._h = h_block[T - 1].copy()
-    estimator._estimate = est
-    cluster._dynamic_w = dyn_block[T - 1].copy()
-    cluster._power_w = power_block[T - 1].copy()
-    cluster._last_q_wax = q_block[T - 1].copy()
-    cluster._last_melt_fraction = truth_block[T - 1].copy()
-    cluster._time_s = t_acc
     sched._tick = first_tick + T
     sim._step_index = t1
     sim._last_allocation = (alloc_block[T - 1]
@@ -519,97 +384,3 @@ def advance(sim, t1: int) -> None:
         add_timing(prof, "kernel_metrics_write", metrics_elapsed)
         add_timing(prof, "dispatch", clock() - setup_start - plan_elapsed
                    - step_elapsed - metrics_elapsed)
-
-
-def _python_air_pcm(targets, temp0, h_store, temp_block, h_block, alpha,
-                    ha, sub_dt, n_sub, mass, cp_s, cp_l, t_melt, h_sol,
-                    h_liq) -> None:
-    """Vectorized-per-tick spelling of the air + PCM recurrence.
-
-    Same IEEE-754 operation order per element as ``ServerAirModel.step``
-    and ``PCMBank.step`` (the commuted operand orders below are bitwise
-    exact: IEEE add/multiply are commutative).
-    """
-    T, n = targets.shape
-    t_melt_row = np.full(n, t_melt)
-    scratch_a = np.empty(n)
-    scratch_b = np.empty(n)
-    scratch_c = np.empty(n)
-    q_buf = np.empty(n)
-    subtract = np.subtract
-    multiply = np.multiply
-    divide = np.divide
-    npadd = np.add
-    where = np.where
-    target_rows = list(targets)
-    temp_rows = list(temp_block)
-    h_rows = list(h_block)
-    temp = temp0
-    h = h_store[0]
-    if n_sub == 1:
-        below = np.empty(n, dtype=bool)
-        twax_buf = np.empty(n)
-        less = np.less
-        copyto = np.copyto
-        arr_max = np.ndarray.max
-        for t in range(T):
-            trow = temp_rows[t]
-            subtract(target_rows[t], temp, out=trow)
-            multiply(trow, alpha, out=trow)
-            npadd(temp, trow, out=trow)
-            temp = trow
-            hrow = h_rows[t]
-            if arr_max(h) > h_liq:
-                # Rare: something fully molten.  Spell out the full
-                # three-branch selection exactly as PCMBank does.
-                divide(h, cp_s, out=scratch_a)
-                subtract(h, h_liq, out=scratch_b)
-                divide(scratch_b, cp_l, out=scratch_b)
-                npadd(scratch_b, t_melt, out=scratch_b)
-                t_wax = where(h < h_sol, scratch_a,
-                              where(h > h_liq, scratch_b, t_melt))
-            else:
-                # Nothing above liquidus: the inner where collapses to
-                # t_melt, and masked copyto picks the same bits the
-                # two-branch where would.
-                less(h, h_sol, out=below)
-                divide(h, cp_s, out=scratch_a)
-                copyto(twax_buf, t_melt_row)
-                copyto(twax_buf, scratch_a, where=below)
-                t_wax = twax_buf
-            subtract(temp, t_wax, out=q_buf)
-            multiply(q_buf, ha, out=q_buf)
-            multiply(q_buf, sub_dt, out=q_buf)
-            divide(q_buf, mass, out=q_buf)
-            npadd(h, q_buf, out=hrow)
-            h = hrow
-        return
-    npmin = np.min
-    npmax = np.max
-    for t in range(T):
-        trow = temp_rows[t]
-        subtract(target_rows[t], temp, out=trow)
-        multiply(trow, alpha, out=trow)
-        npadd(temp, trow, out=trow)
-        temp = trow
-        hrow = h_rows[t]
-        hcur = h
-        for sub in range(n_sub):
-            dest = hrow if sub == n_sub - 1 else scratch_c
-            if npmin(hcur) < h_sol or npmax(hcur) > h_liq:
-                divide(hcur, cp_s, out=scratch_a)
-                subtract(hcur, h_liq, out=scratch_b)
-                divide(scratch_b, cp_l, out=scratch_b)
-                npadd(scratch_b, t_melt, out=scratch_b)
-                t_wax = where(hcur < h_sol, scratch_a,
-                              where(hcur > h_liq, scratch_b, t_melt))
-            else:
-                # Everything in the melting band reads t_melt exactly.
-                t_wax = t_melt_row
-            subtract(temp, t_wax, out=q_buf)
-            multiply(q_buf, ha, out=q_buf)
-            multiply(q_buf, sub_dt, out=q_buf)
-            divide(q_buf, mass, out=q_buf)
-            npadd(hcur, q_buf, out=dest)
-            hcur = dest
-        h = hrow

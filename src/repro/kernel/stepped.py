@@ -2,7 +2,8 @@
 
 One scheduler tick per trace step, each a direct call of
 ``ClusterSimulation._tick`` -- the per-tick chain ``Scheduler.place`` ->
-``Cluster.step`` -> ``MetricsCollector.record`` -- at ``now +=
+``Cluster.advance`` -> ``MetricsCollector.fill_block``, each physics and
+metrics call over a block of one row -- at ``now +=
 step_seconds`` accumulated in float from the run's start (``k *
 step_seconds`` on a run restored at tick ``k``, or after a planned
 segment that ended there), the times the fault injector's hazard draws
@@ -18,9 +19,8 @@ before it lands first, and :func:`drain` runs it up to the end of the
 run once the last tick has fired.
 
 The scheduler's allocation is validated once by ``Scheduler.place`` and
-then trusted -- ``Cluster.step``'s re-validation of the same array is
-skipped when no sanitizer is attached (``Cluster._validate``).  Error
-paths aside, the arithmetic is the per-tick chain itself, so
+then trusted (``Cluster.step`` is the validated one-row call).  The
+physics and metrics are the planned kernel's stages with one row, so
 bit-identity is by construction for every policy, with faults,
 telemetry, checkpoints, sanitizer levels, observers, live rows, and
 restored runs all supported.
@@ -36,27 +36,19 @@ def advance(sim, t1: int) -> None:
     (:meth:`~repro.cluster.simulation.ClusterSimulation._advance`).
     """
     engine = sim._engine
-    cluster = sim._cluster
     step_s = sim._trace.step_seconds
     tick = sim._tick
     faults = sim._injector is not None
-    skip_validation = sim._sanitizer is None
-    if skip_validation:
-        cluster._validate = False
     now = sim._next_tick_s
-    try:
-        for _ in range(sim._step_index, t1):
-            if faults:
-                engine.run_until(now)
-            else:
-                engine._now = now
-            tick(now)
-            engine._dispatched += 1
-            now += step_s
-    finally:
+    for _ in range(sim._step_index, t1):
+        if faults:
+            engine.run_until(now)
+        else:
+            engine._now = now
+        tick(now)
+        engine._dispatched += 1
+        now += step_s
         sim._next_tick_s = now
-        if skip_validation:
-            cluster._validate = True
 
 
 def drain(sim) -> None:

@@ -88,9 +88,15 @@ class MPCController:
 
     def _candidates(self, incumbent_gv: float,
                     forecast_gv: float) -> Tuple[float, ...]:
-        """Candidate GVs: incumbent, forecast estimate, perturbations."""
+        """Candidate GVs: incumbent, forecast estimate, perturbations.
+
+        With fewer than two servers there is no hot/cold split to race
+        (Eq. 1 admits no hot size), so the incumbent is the only one.
+        """
         pmt = self._config.wax.melt_temp_c
         n = self._config.num_servers
+        if n < 2:
+            return (incumbent_gv,)
         lo, hi = pmt / n, pmt * (n - 1) / n  # 1..n-1 hot servers (Eq. 1)
         raw = [incumbent_gv]
         raw.extend(forecast_gv + d for d in self._gv_deltas)

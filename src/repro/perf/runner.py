@@ -48,9 +48,8 @@ class RunSpec:
     record_heatmaps: bool = False
     #: Time shift applied to the trace (multi-cluster stagger), hours.
     trace_shift_hours: float = 0.0
-    #: When False the run regenerates its trace in-simulation instead of
-    #: using the process-wide cache (bit-identical either way; useful
-    #: for cache-bypass comparisons).
+    #: Retired: accepted and ignored; every run takes its trace from the
+    #: process-wide cache (bit-identical to generating it in-simulation).
     use_trace_cache: bool = True
     #: Time the run's tick sections into ``SimulationResult.profile``.
     profile: bool = False
@@ -244,18 +243,9 @@ def execute_spec(spec: RunSpec,
         from ..obs.telemetry import sanitize_run_id
         spec_checkpoint_dir = os.path.join(spec.checkpoint_dir,
                                            sanitize_run_id(spec.name))
-    if trace is None and spec.use_trace_cache:
+    if trace is None:
         trace = shared_trace(spec.config,
                              shift_hours=spec.trace_shift_hours)
-    elif trace is None and spec.trace_shift_hours:
-        # Cache bypass still honors the stagger: same generation path,
-        # just without memoization.
-        from ..sim.rng import RngStreams
-        from ..workloads.trace import TwoDayTrace
-        rng = RngStreams(spec.config.seed).stream("trace")
-        trace = TwoDayTrace(spec.config.trace).generate(
-            spec.config.num_servers, spec.config.server.cores,
-            rng=rng).shifted(spec.trace_shift_hours)
     scheduler = make_scheduler(spec.policy, spec.config)
     telemetry = None
     if spec.telemetry_dir is not None:

@@ -56,6 +56,11 @@ class _NoisySensor:
             value = np.round(value / self._quant) * self._quant
         return value
 
+    def skip(self, shape) -> None:
+        """Draw the noise of one :meth:`read` of ``shape`` values unread."""
+        if self._noise > 0:
+            self._rng.normal(0.0, self._noise, size=shape)
+
 
 class TemperatureSensor(_NoisySensor):
     """A thermal sensor: ~0.5 deg C accuracy, 0.25 deg C steps by default."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -219,6 +219,69 @@ class PCMBank:
             q = ha_w_per_k * (t_air - t_wax)  # W into the wax
             self._h += q * sub_dt / self._mass
         return (self._h - h_before) * self._mass / dt_s
+
+    def advance(self, t_air_block: np.ndarray, ha_w_per_k: float,
+                dt_s: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Advance the wax over a block of ticks.
+
+        Row ``t`` of ``t_air_block`` (``(T, n)``) is the air over tick
+        ``t``.  Returns ``(heat, melt)``: the ``(T, n)`` heat flows into
+        the wax (W) and melt fractions after each tick, the bits ``T``
+        calls of :meth:`step` and :attr:`melt_fraction` give, and leaves
+        the bank where those calls leave it.
+        """
+        if dt_s <= 0:
+            raise ThermalModelError("dt must be positive")
+        if ha_w_per_k < 0:
+            raise ThermalModelError("hA must be non-negative")
+        ticks = len(t_air_block)
+        if self._mass <= 0 or ha_w_per_k == 0:
+            return (np.zeros((ticks, self._n)),
+                    np.repeat(self.melt_fraction[None], ticks, axis=0))
+
+        mass = self._mass
+        cp_s = self._cp_s
+        h_sol = self._h_sol
+        h_liq = self._h_liq
+        tau = mass * min(cp_s, self._cp_l) / ha_w_per_k
+        n_sub = max(1, int(math.ceil(dt_s / (0.25 * tau))))
+        sub_dt = dt_s / n_sub
+
+        h_store = np.empty((ticks + 1, self._n))
+        h_store[0] = self._h
+        melting = np.full(self._n, self._t_melt)
+        solid = np.empty(self._n)
+        below = np.empty(self._n, dtype=bool)
+        t_wax = np.empty(self._n)
+        q = np.empty(self._n)
+        h = h_store[0]
+        for t_air, h_next in zip(t_air_block, h_store[1:]):
+            for __ in range(n_sub):
+                np.divide(h, cp_s, out=solid)
+                if h.max() > h_liq:
+                    # Something fully molten: the full three-branch
+                    # curve of temperature_of_enthalpy.
+                    liquid = self._t_melt + (h - h_liq) / self._cp_l
+                    wax = np.where(h < h_sol, solid,
+                                   np.where(h > h_liq, liquid, self._t_melt))
+                else:
+                    # Nothing above liquidus: melting or solid, the same
+                    # bits the curve picks.
+                    np.less(h, h_sol, out=below)
+                    np.copyto(t_wax, melting)
+                    np.copyto(t_wax, solid, where=below)
+                    wax = t_wax
+                np.subtract(t_air, wax, out=q)
+                np.multiply(q, ha_w_per_k, out=q)
+                np.multiply(q, sub_dt, out=q)
+                np.divide(q, mass, out=q)
+                np.add(h, q, out=h_next)
+                h = h_next
+        heat = np.subtract(h_store[1:], h_store[:-1])
+        heat *= mass
+        heat /= dt_s
+        self._h = h_store[-1].copy()
+        return heat, self.melt_fraction_of_enthalpy(h_store[1:])
 
     def set_melt_fraction(self, fraction: ArrayLike) -> None:
         """Force the melt fraction (temperature pinned at the melt point).

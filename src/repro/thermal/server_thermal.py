@@ -96,6 +96,49 @@ class ServerAirModel:
         self._temp = self._temp + (target - self._temp) * alpha
         return self._temp
 
+    def inlet_block(self, inlet_offsets=None) -> np.ndarray:
+        """Inlet temperatures under per-tick offsets.
+
+        ``None`` gives the current inlets, ``(n,)``; a ``(T,)`` array of
+        offsets gives a ``(T, n)`` block whose row ``t`` is what
+        :meth:`set_inlet_offset` with ``inlet_offsets[t]`` leaves.
+        """
+        if inlet_offsets is None:
+            return self._inlet
+        offsets = np.asarray(inlet_offsets, dtype=np.float64)
+        if not np.isfinite(offsets).all():
+            raise ThermalModelError("inlet offset must be finite")
+        return self._base_inlet + offsets[:, None]
+
+    def advance(self, power_block: np.ndarray, dt_s: float,
+                inlet_offsets=None) -> np.ndarray:
+        """Advance the air node over a block of ticks.
+
+        Row ``t`` of ``power_block`` (``(T, n)`` watts) drives tick ``t``
+        at inlet offset ``inlet_offsets[t]`` (``None``: the current
+        inlets throughout).  Returns the ``(T, n)`` temperatures after
+        each tick, the bits ``T`` calls of :meth:`step` return (each
+        after :meth:`set_inlet_offset` when offsets are given), and
+        leaves the model where those calls leave it.
+        """
+        if dt_s <= 0:
+            raise ThermalModelError("dt must be positive")
+        # Each row starts as its tick's target, inlet + R_air * P, and
+        # becomes that tick's temperature in place.
+        block = np.multiply(power_block, self._cfg.r_air_c_per_w)
+        block += self.inlet_block(inlet_offsets)
+        alpha = 1.0 - math.exp(-dt_s / self._cfg.tau_air_s)
+        temp = self._temp
+        for row in block:
+            np.subtract(row, temp, out=row)
+            np.multiply(row, alpha, out=row)
+            np.add(temp, row, out=row)
+            temp = row
+        self._temp = temp.copy()
+        if inlet_offsets is not None:
+            self.set_inlet_offset(float(inlet_offsets[-1]))
+        return block
+
     def reset(self, power_w: ArrayLike = 0.0) -> None:
         """Snap the air node to the steady state for ``power_w``."""
         self._temp = self.steady_state(power_w).copy()

@@ -23,6 +23,15 @@ import numpy as np
 from ..config import ThermalConfig, WaxConfig
 from ..errors import ThermalModelError
 
+try:
+    # The ufunc np.clip dispatches to: same kernel, same bits, without
+    # the per-call dispatch overhead (it runs once per tick in
+    # :meth:`WaxStateEstimator.advance`).
+    from numpy._core.umath import clip as _clip_ufunc
+except ImportError:  # pragma: no cover - numpy internals moved
+    def _clip_ufunc(a, lo, hi, out):
+        return np.clip(a, lo, hi, out=out)
+
 
 class WaxStateEstimator:
     """Integrates a quantized melt-rate lookup table from sensor readings."""
@@ -120,6 +129,49 @@ class WaxStateEstimator:
         else:
             self._estimate = np.where(mask, np.clip(truth, 0.0, 1.0),
                                       self._estimate)
+
+    def advance(self, t_air_block: np.ndarray, truth_block: np.ndarray,
+                dt_s: float,
+                anchorable: Optional[np.ndarray] = None) -> np.ndarray:
+        """Advance the estimate over a block of ticks.
+
+        Tick ``t`` integrates the table from row ``t`` of ``t_air_block``
+        (``(T, n)``, the air the sensor reads before its noise), then
+        re-anchors each server whose true melt fraction (row ``t`` of
+        ``truth_block``, in ``[0, 1]``) is 0 or 1 and that
+        ``anchorable`` allows (every server when ``None``).  Leaves the
+        bits ``T`` calls of :meth:`update` then :meth:`correct` leave,
+        and returns the estimate.
+        """
+        if dt_s <= 0:
+            raise ThermalModelError("dt must be positive")
+        sensed = np.asarray(t_air_block, dtype=np.float64)
+        if self._sensor_noise != 0.0:
+            # One (T, n) draw: the values and stream state of T (n,) ones.
+            noise = self._rng.normal(0.0, self._sensor_noise,
+                                     size=sensed.shape)
+            noise += sensed
+            sensed = noise
+        bins = np.digitize(sensed - self._t_melt, self._bin_edges)
+        bins -= 1
+        np.clip(bins, 0, len(self._rate_table) - 1, out=bins)
+        rates = self._rate_table[bins]
+        rates *= dt_s
+        anchored = (truth_block <= 0.0) | (truth_block >= 1.0)
+        if anchorable is not None:
+            anchored &= anchorable
+        est = self._estimate.copy()
+        for rate, truth, anchor, anchor_any in zip(
+                rates, truth_block, anchored,
+                anchored.any(axis=1).tolist()):
+            np.add(est, rate, out=est)
+            _clip_ufunc(est, 0.0, 1.0, est)
+            if anchor_any:
+                # where(anchor, truth, est): the truth is already in
+                # [0, 1], where correct()'s clip leaves every bit.
+                np.copyto(est, truth, where=anchor)
+        self._estimate = est
+        return est
 
     def error_vs(self, true_fraction: np.ndarray) -> float:
         """Mean absolute estimation error against ground truth."""

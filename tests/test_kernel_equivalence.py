@@ -57,7 +57,6 @@ from repro.config import (CoolingFaultSpec, FaultConfig, SensorFaultSpec,
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
 from repro.core.scheduler import NUM_WORKLOADS
 from repro.core.vmt_ta import VMTThermalAwareScheduler
-from repro.kernel import is_numba_available
 from repro.kernel.planned import plan_vmt_ta
 from repro.errors import ConfigurationError, TraceError
 from repro.live import LiveTraceBuffer
@@ -331,6 +330,31 @@ class TestBitIdentity:
             assert {"alloc", "rng", "tick"} <= set(
                 fast_snap.state["scheduler"])
         assert_state_trees_equal(ref_snap.state, fast_snap.state)
+
+
+    @pytest.mark.parametrize("degenerate", ("no-mass", "no-latent",
+                                            "no-ha"))
+    def test_degenerate_wax_is_planned_and_matches_reference(
+            self, degenerate):
+        """Wax with no mass, no latent heat or no convection takes the
+        models' special branches; the planned kernel runs them through
+        the same block stage, so it plans such runs too."""
+        config = small_config()
+        if degenerate == "no-mass":
+            config = config.replace(
+                wax=dataclasses.replace(config.wax, volume_liters=0.0))
+        elif degenerate == "no-latent":
+            config = config.replace(wax=dataclasses.replace(
+                config.wax, latent_heat_j_per_kg=0.0))
+        else:
+            config = config.replace(thermal=dataclasses.replace(
+                config.thermal, ha_w_per_k=0.0))
+        ref, ref_sim = run_backend(config, "vmt-ta", "reference")
+        fast, fast_sim = run_backend(config, "vmt-ta", "fast")
+        assert fast_sim.kernel_path == "planned"
+        assert ref.fingerprint() == fast.fingerprint()
+        assert_state_trees_equal(ref_sim.snapshot().state,
+                                 fast_sim.snapshot().state)
 
 
 class TestHeapLoopPins:
@@ -852,15 +876,3 @@ class TestParallelModes:
         for policy in serial.reductions:
             assert (serial.reductions[policy] ==
                     threaded.reductions[policy]).all()
-
-
-@pytest.mark.skipif(not is_numba_available(),
-                    reason="numba not installed; the python spelling of "
-                           "the fused physics loop is already covered")
-class TestNumbaKernel:
-    def test_njit_physics_matches_reference(self):
-        config = small_config()
-        ref, _ = run_backend(config, "vmt-ta", "reference")
-        fast, sim = run_backend(config, "vmt-ta", "fast")
-        assert sim.kernel_path == "planned"
-        assert ref.fingerprint() == fast.fingerprint()

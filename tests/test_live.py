@@ -331,6 +331,22 @@ class TestMPC:
             assert decision["chosen_gv"] == \
                 decision["candidates"][best]
 
+    @pytest.mark.parametrize("forecaster", ("oracle", "last-value"))
+    def test_one_server_keeps_the_incumbent(self, forecaster):
+        """Regression: with one server every candidate clamped to GV 0,
+        and the first decision raised "grouping value must be
+        positive"."""
+        config = paper_cluster_config(num_servers=1, seed=3).replace(
+            trace=TraceConfig(duration_hours=3.0))
+        report = api.live_run(policy="vmt-ta", config=config, mpc=True,
+                              forecaster=forecaster)
+        assert report.mpc_decisions
+        gv = config.scheduler.grouping_value
+        for decision in report.mpc_decisions:
+            assert decision["candidates"] == [gv]
+            assert decision["chosen_gv"] == gv
+        assert report.result.times_s.shape == (180,)
+
     def test_mpc_threaded_race_matches_sequential(self):
         config = tiny_config(hours=3.0)
         reports = []

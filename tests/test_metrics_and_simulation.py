@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.metrics import MetricsCollector, SimulationResult
+from repro.cluster.metrics import MetricsCollector, SimulationResult, TickBlock
 from repro.cluster.simulation import ClusterSimulation, run_simulation
 from repro.config import SimulationConfig, TraceConfig
 from repro.core import RoundRobinScheduler, VMTThermalAwareScheduler
@@ -11,17 +11,20 @@ from repro.errors import SimulationError
 from repro.workloads.trace import TwoDayTrace
 
 
+def one_row(time_s, temp, melt, power, absorb):
+    """A one-tick block of the given per-server rows."""
+    return TickBlock(times_s=np.array([time_s]), power_w=power[None],
+                     wax_absorption_w=absorb[None], air_temp_c=temp[None],
+                     melt_fraction=melt[None],
+                     max_cpu_temp_c=np.array([float("nan")]))
+
+
 def record_fake(collector, time_s, n=4, temp=30.0, melt=0.0, power=200.0,
                 absorb=10.0, hot=None):
-    collector.record(
-        time_s,
-        air_temp_c=np.full(n, temp),
-        melt_fraction=np.full(n, melt),
-        power_w=np.full(n, power),
-        wax_absorption_w=np.full(n, absorb),
-        jobs=n * 8,
-        hot_mask=hot,
-    )
+    collector.fill_block(
+        one_row(time_s, np.full(n, temp), np.full(n, melt),
+                np.full(n, power), np.full(n, absorb)),
+        jobs=n * 8, hot_mask=hot)
 
 
 class TestMetricsCollector:
@@ -34,12 +37,10 @@ class TestMetricsCollector:
     def test_hot_group_means(self):
         collector = MetricsCollector()
         hot = np.array([True, True, False, False])
-        collector.record(0.0,
-                         air_temp_c=np.array([40.0, 42.0, 25.0, 27.0]),
-                         melt_fraction=np.zeros(4),
-                         power_w=np.full(4, 100.0),
-                         wax_absorption_w=np.zeros(4), jobs=0,
-                         hot_mask=hot)
+        collector.fill_block(
+            one_row(0.0, np.array([40.0, 42.0, 25.0, 27.0]), np.zeros(4),
+                    np.full(4, 100.0), np.zeros(4)),
+            jobs=0, hot_mask=hot)
         result = collector.finish(SimulationConfig(num_servers=4), "ta")
         assert result.hot_group_mean_temp_c[0] == pytest.approx(41.0)
         assert result.cold_group_mean_temp_c[0] == pytest.approx(26.0)
@@ -75,8 +76,9 @@ class TestMetricsCollector:
     def test_fill_block_after_restored_prefix_matches_record(
             self, hot_size, prefix, capacity):
         """A restored prefix plus one ``fill_block`` of the remaining
-        rows stores exactly what ``record`` stores tick by tick: every
-        series, the heatmaps, and NaN for an empty group's mean."""
+        rows stores exactly what one-row blocks store tick by tick --
+        each series the 1-D reduction of its tick's row, the fault
+        columns, the heatmaps, and NaN for an empty group's mean."""
         n, ticks = 4, 8
         rng = np.random.default_rng(5)
         temp = rng.uniform(20.0, 45.0, (ticks, n))
@@ -85,42 +87,32 @@ class TestMetricsCollector:
         absorb = rng.uniform(-20.0, 40.0, (ticks, n))
         cpu = rng.uniform(40.0, 80.0, ticks)
         jobs = rng.integers(0, 64, ticks)
+        availability = rng.uniform(0.5, 1.0, ticks)
+        displaced = rng.integers(0, 9, ticks)
+        cooling = rng.uniform(0.5, 1.0, ticks)
         times = np.cumsum(np.full(ticks, 60.0))
         hot = np.arange(n) < hot_size
 
-        def record(collector, rows):
-            for t in rows:
-                collector.record(times[t], air_temp_c=temp[t],
-                                 melt_fraction=melt[t], power_w=power[t],
-                                 wax_absorption_w=absorb[t],
-                                 jobs=int(jobs[t]), hot_mask=hot,
-                                 max_cpu_temp_c=float(cpu[t]))
+        def block(rows):
+            return TickBlock(times[rows], power[rows], absorb[rows],
+                             temp[rows], melt[rows], cpu[rows])
+
+        def fill(collector, rows):
+            collector.fill_block(
+                block(rows), jobs=jobs[rows], hot_mask=hot,
+                availability=availability[rows],
+                displaced_jobs=displaced[rows],
+                cooling_capacity_factor=cooling[rows])
 
         straight = MetricsCollector(capacity=ticks)
-        record(straight, range(ticks))
+        for t in range(ticks):
+            fill(straight, slice(t, t + 1))
         partial = MetricsCollector(capacity=ticks)
-        record(partial, range(prefix))
+        for t in range(prefix):
+            fill(partial, slice(t, t + 1))
         resumed = MetricsCollector(capacity=capacity)
         resumed.load_state_dict(partial.state_dict())
-
-        rest = slice(prefix, ticks)
-        it_power = np.array([row.sum() for row in power[rest]])
-        absorbed = np.array([row.sum() for row in absorb[rest]])
-        resumed.fill_block(
-            times_s=times[rest], cooling_load_w=it_power - absorbed,
-            it_power_w=it_power, wax_absorption_w=absorbed,
-            mean_temp_c=np.array([row.mean() for row in temp[rest]]),
-            hot_group_mean_temp_c=(
-                np.array([row[hot].mean() for row in temp[rest]])
-                if hot.any() else None),
-            cold_group_mean_temp_c=(
-                np.array([row[~hot].mean() for row in temp[rest]])
-                if hot.any() and not hot.all() else None),
-            mean_melt_fraction=np.array([row.mean()
-                                         for row in melt[rest]]),
-            hot_group_size=hot_size, jobs=jobs[rest],
-            max_cpu_temp_c=cpu[rest], temp_map=temp[rest],
-            melt_map=melt[rest])
+        fill(resumed, slice(prefix, ticks))
 
         config = SimulationConfig(num_servers=n)
         expected = straight.finish(config, "x")
@@ -131,6 +123,23 @@ class TestMetricsCollector:
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
         assert got.fingerprint() == expected.fingerprint()
+        it_power = np.array([float(row.sum()) for row in power])
+        absorbed = np.array([float(row.sum()) for row in absorb])
+        assert np.array_equal(got.it_power_w, it_power)
+        assert np.array_equal(got.cooling_load_w, it_power - absorbed)
+        assert np.array_equal(got.mean_temp_c,
+                              [row.mean() for row in temp])
+        assert np.array_equal(got.mean_melt_fraction,
+                              [row.mean() for row in melt])
+        if 0 < hot_size:
+            assert np.array_equal(got.hot_group_mean_temp_c,
+                                  [row[hot].mean() for row in temp])
+        if 0 < hot_size < n:
+            assert np.array_equal(got.cold_group_mean_temp_c,
+                                  [row[~hot].mean() for row in temp])
+        assert (got.hot_group_size == hot_size).all()
+        assert np.array_equal(got.displaced_jobs, displaced)
+        assert np.array_equal(got.cooling_capacity_factor, cooling)
 
 
 class TestSimulationResult:

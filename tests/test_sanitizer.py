@@ -51,16 +51,10 @@ def one_tick(sim, step_index=None):
     view = sim.cluster.view()
     placement = sim._scheduler.place(demand, view)
     sim.sanitizer.check_placement(0, 60.0, demand, view, placement)
-    sim.cluster.step(placement.allocation, sim.trace.step_seconds)
-    sim._metrics.record(
-        sim.cluster.time_s,
-        air_temp_c=sim.cluster.air_temp_c_view,
-        melt_fraction=sim.cluster.wax_melt_fraction_view,
-        power_w=sim.cluster.power_w_view,
-        wax_absorption_w=sim.cluster.wax_absorption_w_view,
-        jobs=int(demand.sum()),
-        hot_mask=placement.hot_group_mask,
-    )
+    block = sim.cluster.advance(placement.allocation[np.newaxis],
+                                sim.trace.step_seconds)
+    sim._metrics.fill_block(block, jobs=int(demand.sum()),
+                            hot_mask=placement.hot_group_mask)
     return demand, view, placement
 
 
