@@ -18,9 +18,11 @@ Results merge into ``BENCH_perf.json`` under ``"live"``.  The exit
 status gates CI: nonzero when the oracle differential is not
 bit-identical or the naive gap is not positive.
 
-Every wall time is one whole call (trace or feed build included), timed
-with :func:`~repro.perf.timing.interleaved_best`: one untimed warm-up
-per case, then best-of-``--repeats`` with the four cases interleaved.
+Every wall time is one whole call (trace or feed build included: each
+call starts by emptying the shared trace cache, which both the batch
+run and the replay feed read), timed with
+:func:`~repro.perf.timing.interleaved_best`: one untimed warm-up per
+case, then best-of-``--repeats`` with the four cases interleaved.
 The gate reads no time, so the CI smoke takes one repeat.
 
 Run::
@@ -40,6 +42,7 @@ from repro.cluster.simulation import run_simulation
 from repro.config import SimulationConfig, TraceConfig
 from repro.core.policies import make_scheduler
 from repro.live import LiveRunner, MPCController, TraceReplayFeed
+from repro.perf.cache import clear_shared_cache
 from repro.perf.timing import interleaved_best, time_call
 
 
@@ -60,8 +63,12 @@ def measure(num_servers: int, hours: float, seed: int, policy: str,
         return run
 
     def timed(fn):
+        def fresh():
+            clear_shared_cache()
+            return fn()
+
         def case():
-            wall_s, value = time_call(fn)
+            wall_s, value = time_call(fresh)
             return {"wall_s": wall_s, "value": value}
         return case
 

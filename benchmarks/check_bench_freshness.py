@@ -59,10 +59,12 @@ SECTIONS = {
     "checkpoint": (
         "benchmarks/bench_checkpoint.py",
         KERNEL + ("src/repro/state", "benchmarks/bench_checkpoint.py")),
-    # The MPC racer's shadow runs and the live loop that drives them.
+    # The MPC racer's shadow runs, the live loop that drives them and
+    # the replay feed it reads.
     "live": (
         "benchmarks/bench_live_gap.py",
         KERNEL + ("src/repro/live/mpc.py", "src/repro/live/runner.py",
+                  "src/repro/live/feeds.py",
                   "benchmarks/bench_live_gap.py")),
     "fleet": (
         "benchmarks/bench_fleet.py",

@@ -290,7 +290,10 @@ class SimulationResult:
     #: or the fingerprint.
     profile: Optional[Profile] = None
 
-    #: Array fields hashed by :meth:`fingerprint`, in hashing order.
+    #: Every array field of a result, in one order: the one
+    #: :meth:`fingerprint` hashes, :meth:`to_json` serializes and
+    #: :mod:`repro.io` stores.  The first ten are always present; the
+    #: rest may be ``None``.
     FINGERPRINT_FIELDS = (
         "times_s", "cooling_load_w", "it_power_w", "wax_absorption_w",
         "mean_temp_c", "hot_group_mean_temp_c", "cold_group_mean_temp_c",
@@ -428,14 +431,9 @@ class SimulationResult:
             "displaced_jobs": self.total_displaced_jobs,
         }
 
-    #: Array fields serialized by :meth:`to_json`, in schema order (the
-    #: required series first, the optional ones after).
-    JSON_ARRAY_FIELDS = (
-        "times_s", "cooling_load_w", "it_power_w", "wax_absorption_w",
-        "mean_temp_c", "hot_group_mean_temp_c", "cold_group_mean_temp_c",
-        "mean_melt_fraction", "hot_group_size", "jobs", "max_cpu_temp_c",
-        "availability", "displaced_jobs", "cooling_capacity_factor",
-        "recovery_times_s", "temp_heatmap", "melt_heatmap")
+    #: The array fields :meth:`to_json` serializes: the same tuple as
+    #: :attr:`FINGERPRINT_FIELDS`, kept under this name for v1 callers.
+    JSON_ARRAY_FIELDS = FINGERPRINT_FIELDS
 
     def to_json(self) -> Dict[str, Any]:
         """A JSON-serializable dict that round-trips bit-identically.
@@ -447,7 +445,7 @@ class SimulationResult:
         results; :mod:`repro.io` remains the compact binary format.
         """
         series: Dict[str, Any] = {}
-        for name in self.JSON_ARRAY_FIELDS:
+        for name in self.FINGERPRINT_FIELDS:
             arr = getattr(self, name)
             if arr is None:
                 continue
@@ -471,7 +469,7 @@ class SimulationResult:
                 f"(schema={payload.get('schema')!r})")
         series = payload["series"]
         kwargs: Dict[str, Any] = {}
-        for name in cls.JSON_ARRAY_FIELDS:
+        for name in cls.FINGERPRINT_FIELDS:
             entry = series.get(name)
             kwargs[name] = (None if entry is None else
                             np.asarray(entry["values"],

@@ -109,11 +109,11 @@ class MultiClusterSimulation:
     def _spec_for(self, index: int) -> RunSpec:
         """The cluster's run, as an independent job.
 
-        The trace is generated from the cluster's *derived* seed (its
-        ``"trace"`` RNG stream), exactly as :class:`ClusterSimulation`
-        would when handed no trace -- so staggered clusters genuinely
+        The runner takes the trace from the shared trace cache
+        (:func:`~repro.perf.cache.shared_trace`), which builds it from
+        the cluster's *derived* seed -- so staggered clusters genuinely
         differ in trace noise, as the class docstring promises -- and
-        then time-shifted by ``index * stagger_hours``.
+        time-shifts it by ``index * stagger_hours``.
         """
         return RunSpec(config=self._config_for(index),
                        policy=self._policies[index],

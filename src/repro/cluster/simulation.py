@@ -34,7 +34,7 @@ from ..kernel import check_backend
 from ..obs.telemetry import Telemetry, TelemetryLike
 from ..sim.engine import Engine
 from ..sim.rng import RngStreams
-from ..workloads.trace import TraceMatrix, TwoDayTrace
+from ..workloads.trace import TraceMatrix
 from .cluster import Cluster
 from .metrics import MetricsCollector, Profile, SimulationResult, add_timing
 
@@ -106,10 +106,15 @@ class ClusterSimulation:
                                 fault_state=fault_state)
         self._scheduler = scheduler
         if trace is None:
-            trace = TwoDayTrace(config.trace).generate(
-                config.num_servers, config.server.cores,
-                rng=self._streams.stream("trace"))
+            # Imported lazily: the cluster layer must not depend on the
+            # perf layer at import time.
+            from ..perf.cache import shared_trace
+            trace = shared_trace(config)
         if trace.total_cores != config.total_cores:
+            if getattr(trace, "is_live", False):
+                raise SimulationError(
+                    f"live buffer is sized for {trace.total_cores} cores, "
+                    f"the cluster has {config.total_cores}")
             trace = trace.scaled_to(config.num_servers, config.server.cores)
         self._trace = trace
         self._metrics = MetricsCollector(record_heatmaps=record_heatmaps,
@@ -500,7 +505,7 @@ class ClusterSimulation:
             stop = t1
             if every is not None:
                 stop = min(t1, (self._step_index // every + 1) * every)
-            if planned.plannable(self, stop):
+            if planned.plannable(self):
                 planned.advance(self, stop)
                 self._kernel_path = "planned"
             else:

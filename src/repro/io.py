@@ -18,15 +18,10 @@ from .cluster.metrics import SimulationResult
 from .config import SimulationConfig
 from .errors import ReproError
 
-#: Array fields persisted verbatim (order matters for round-tripping).
-_ARRAY_FIELDS = (
-    "times_s", "cooling_load_w", "it_power_w", "wax_absorption_w",
-    "mean_temp_c", "hot_group_mean_temp_c", "cold_group_mean_temp_c",
-    "mean_melt_fraction", "hot_group_size", "jobs",
-)
-_OPTIONAL_FIELDS = ("max_cpu_temp_c", "availability", "displaced_jobs",
-                    "cooling_capacity_factor", "recovery_times_s",
-                    "temp_heatmap", "melt_heatmap")
+#: The array fields every result carries: the first ten of
+#: ``SimulationResult.FINGERPRINT_FIELDS``.  The rest may be ``None``
+#: and are stored only when present.
+_REQUIRED = SimulationResult.FINGERPRINT_FIELDS[:10]
 
 _FORMAT_VERSION = 1
 
@@ -37,10 +32,10 @@ def save_result(result: SimulationResult,
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
-    payload = {field: getattr(result, field) for field in _ARRAY_FIELDS}
-    for field in _OPTIONAL_FIELDS:
+    payload = {}
+    for field in SimulationResult.FINGERPRINT_FIELDS:
         value = getattr(result, field)
-        if value is not None:
+        if field in _REQUIRED or value is not None:
             payload[field] = value
     meta = {
         "format_version": _FORMAT_VERSION,
@@ -67,9 +62,9 @@ def load_result(path: Union[str, Path]) -> SimulationResult:
             raise ReproError(
                 f"{path}: unsupported format version "
                 f"{meta.get('format_version')!r}")
-        kwargs = {field: data[field] for field in _ARRAY_FIELDS}
-        for field in _OPTIONAL_FIELDS:
-            kwargs[field] = data[field] if field in data else None
+        kwargs = {field: (data[field]
+                          if field in _REQUIRED or field in data else None)
+                  for field in SimulationResult.FINGERPRINT_FIELDS}
     return SimulationResult(
         config=SimulationConfig.from_dict(meta["config"]),
         scheduler_name=meta["scheduler_name"],

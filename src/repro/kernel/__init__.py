@@ -16,7 +16,8 @@ configure:
   span of ticks whose rows are known is plannable up front -- from
   tick 0, or from the tick a snapshot restored (checkpoint resumes, MPC
   shadow simulations); a checkpointing run between two writes; a live
-  run one decision or checkpoint interval at a time;
+  run one decision or checkpoint interval at a time; under an ambient
+  profile too, whose inlet offsets the block stage applies per tick;
 * :mod:`.stepped` -- every other segment: the per-tick chain
   (``Scheduler.place`` -> ``Cluster.advance`` ->
   ``MetricsCollector.fill_block``) called once per tick with one row,

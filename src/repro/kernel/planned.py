@@ -40,7 +40,9 @@ The kernel preserves bit-identity with the per-tick chain
   :meth:`~repro.cluster.metrics.MetricsCollector.fill_block` (row
   reductions, the same pairwise summation for one row or many).  The
   air sensor's stream is consumed as the per-tick views would
-  (:meth:`~repro.cluster.cluster.Cluster.skip_views`).
+  (:meth:`~repro.cluster.cluster.Cluster.skip_views`).  An ambient
+  profile is a function of the clock, and the block stage adds its
+  inlet offset at each tick's start, so weather runs plan too.
 
 The kernel plans any span of ticks ``[t0, t1)`` (:func:`advance`) and
 leaves exactly the state the per-tick driver leaves after firing tick
@@ -77,14 +79,17 @@ from ..workloads.workload import COLD_INDICES, HOT_INDICES, WORKLOAD_LIST
 _K = len(WORKLOAD_LIST)
 
 
-def eligible(sim) -> bool:
+def plannable(sim) -> bool:
     """Whether ``sim``'s next ticks can be planned.
 
-    Eligibility mirrors exactly the situations where planning ahead is
-    provably equivalent: a clean open-loop run (VMT-TA at any grouping
-    value, or round-robin) -- no faults, no sanitizer, no telemetry or
-    observers, no ambient profile -- whose recorded metrics rows match
-    its tick.  :func:`plannable` adds the per-span capacity check.
+    This mirrors exactly the situations where planning ahead is provably
+    equivalent: a clean open-loop run (VMT-TA at any grouping value, or
+    round-robin) -- no faults, no sanitizer, no telemetry or observers
+    -- whose recorded metrics rows match its tick.  An ambient profile
+    is fine: its inlet offsets are a function of the clock, applied by
+    the block stage at every tick.  Every row fits the cluster, since a
+    trace or live buffer refuses a row above its ``total_cores`` and the
+    simulation refuses a trace sized for another cluster.
     """
     if type(sim._scheduler) not in (VMTThermalAwareScheduler,
                                     RoundRobinScheduler):
@@ -93,22 +98,7 @@ def eligible(sim) -> bool:
                 or sim._sanitizer is not None
                 or sim._telemetry is not None
                 or sim._observers
-                or sim._metrics.size != sim._step_index
-                or sim._config.ambient.is_active)
-
-
-def plannable(sim, t1: int) -> bool:
-    """Whether ticks ``[t0, t1)`` of ``sim`` can be planned.
-
-    ``sim`` must be :func:`eligible`, and no row of the span may demand
-    more cores than the cluster has (the reference scheduler raises
-    there, so the per-tick driver takes the span and raises at that
-    tick).
-    """
-    if not eligible(sim):
-        return False
-    counts = sim._trace._counts[sim._step_index:t1]
-    return int(counts.sum(axis=1).max()) <= sim._config.total_cores
+                or sim._metrics.size != sim._step_index)
 
 
 def _fitted_slice(rows: np.ndarray, capacity: int) -> np.ndarray:

@@ -35,9 +35,8 @@ import numpy as np
 
 from ..config import SimulationConfig, TraceConfig
 from ..errors import TraceError
-from ..sim.rng import RngStreams
-from ..workloads.trace import (DEFAULT_SHARES, TraceMatrix, TwoDayTrace,
-                               _diurnal_shape)
+from ..perf.cache import shared_trace
+from ..workloads.trace import DEFAULT_SHARES, TraceMatrix, _diurnal_shape
 from ..workloads.workload import WORKLOAD_LIST
 
 NUM_WORKLOADS = len(WORKLOAD_LIST)
@@ -57,18 +56,12 @@ class TraceReplayFeed:
     def from_config(cls, config: SimulationConfig) -> "TraceReplayFeed":
         """The exact trace an offline batch run of ``config`` would use.
 
-        Generated through the same seeded stream
-        (``RngStreams(seed).stream("trace")``) and rescale path as
-        :class:`~repro.cluster.simulation.ClusterSimulation`, so a live
-        replay of this feed observes byte-identical demand.
+        Taken from the process-wide trace cache
+        (:func:`~repro.perf.cache.shared_trace`), which builds every
+        run's trace, so a live replay of this feed observes the demand
+        the batch run does, row for row.
         """
-        trace = TwoDayTrace(config.trace).generate(
-            config.num_servers, config.server.cores,
-            rng=RngStreams(config.seed).stream("trace"))
-        if trace.total_cores != config.total_cores:
-            trace = trace.scaled_to(config.num_servers,
-                                    config.server.cores)
-        return cls(trace)
+        return cls(shared_trace(config))
 
     @property
     def num_steps(self) -> int:

@@ -1,7 +1,6 @@
-"""Process-local cache of generated demand traces.
+"""Process-local cache of generated demand traces: the one trace builder.
 
-Every simulation in a sweep regenerating the same two-day trace is pure
-waste: the trace depends only on (trace config, cluster size, cores per
+A run's trace depends only on (trace config, cluster size, cores per
 server, seed), none of which change across a GV or wax-threshold sweep.
 :class:`TraceCache` builds each distinct trace exactly once and hands
 the same :class:`~repro.workloads.trace.TraceMatrix` to every run --
@@ -10,13 +9,14 @@ of view (the demand matrix is frozen read-only; accessors hand out
 read-only views or copies) -- which also makes sharing one cached trace
 across a thread-pool sweep free.
 
-The generation path is *identical* to what
-:class:`~repro.cluster.simulation.ClusterSimulation` does when no trace
-is passed: ``TwoDayTrace(trace_config).generate(num_servers, cores,
+Every run's trace comes from here: :func:`shared_trace` serves the
+experiment runner, the run registry, fleet sites, a
+:class:`~repro.cluster.simulation.ClusterSimulation` handed no trace and
+:meth:`~repro.live.feeds.TraceReplayFeed.from_config`.  A trace is
+``TwoDayTrace(trace_config).generate(num_servers, cores,
 rng=RngStreams(seed).stream("trace"))``.  Named RNG streams are derived
-independently per (seed, name) pair, so pre-building the trace stream
-outside the simulation leaves every other stream's sequence untouched
-and the results bit-identical.
+independently per (seed, name) pair, so building the trace stream
+outside the simulation leaves every other stream's sequence untouched.
 
 Time-shifted variants (multi-cluster stagger) are derived from the
 cached base trace and cached themselves, keyed by the shift.

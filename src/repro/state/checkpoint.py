@@ -127,17 +127,19 @@ def verify_roundtrip(straight, resumed) -> None:
     if divergence is not None:
         detail = divergence.report()
     else:
-        detail = _off_series_divergence(straight, resumed)
+        detail = _off_series_divergence(
+            straight, resumed,
+            [name for name in straight.FINGERPRINT_FIELDS
+             if name not in GOLDEN_SERIES])
     raise CheckpointError(
         "checkpoint round-trip diverged from the straight-through run "
         f"(fingerprint {expected_fp} -> {got_fp}): {detail}")
 
 
-def _off_series_divergence(straight, resumed) -> str:
-    """Locate a divergence outside the golden scalar series."""
-    for name in ("availability", "displaced_jobs",
-                 "cooling_capacity_factor", "recovery_times_s",
-                 "temp_heatmap", "melt_heatmap"):
+def _off_series_divergence(straight, resumed, names) -> str:
+    """Locate a divergence in ``names``, the fields outside the golden
+    scalar series."""
+    for name in names:
         expected = getattr(straight, name)
         got = getattr(resumed, name)
         if expected is None and got is None:

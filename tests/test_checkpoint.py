@@ -30,11 +30,13 @@ from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import (cooling_derate, kill_servers,
                                     merge_scenarios, stuck_wax_sensors,
                                     temperature_hazard)
+from repro.sim.rng import RngStreams
 from repro.state import (SNAPSHOT_SCHEMA_VERSION, checkpoint_path,
                          latest_checkpoint, list_checkpoints,
                          load_snapshot, restore_simulation, resume_run,
                          save_snapshot, snapshot_manifest_path,
                          verify_roundtrip)
+from repro.workloads.trace import TwoDayTrace
 
 
 def _config(num_servers=16, hours=3.0, seed=7):
@@ -114,6 +116,27 @@ def test_roundtrip_final_tick(tmp_path):
     verify_roundtrip(straight, resumed)
 
 
+@pytest.mark.parametrize("policy", ("vmt-ta", "vmt-wa"))
+def test_snapshot_with_a_trace_stream_restores(policy, tmp_path):
+    """A simulation handed no trace takes it from the trace cache, so it
+    creates no ``trace`` RNG stream.  A snapshot written while the
+    simulation drew its own trace from that stream carries it, and still
+    restores and resumes to the straight run."""
+    cfg = _config()
+    straight = _run_straight(cfg, policy)
+    sim, _ = _run_checkpointed(cfg, policy, tmp_path / "ckpt", every=60)
+    snapshot = load_snapshot(sim.checkpoint_records[0]["file"])
+    assert "trace" not in snapshot.state["streams"]
+    drawn = RngStreams(cfg.seed).stream("trace")
+    TwoDayTrace(cfg.trace).generate(cfg.num_servers, cfg.server.cores,
+                                    rng=drawn)
+    snapshot.state["streams"]["trace"] = drawn.bit_generator.state
+    path = checkpoint_path(tmp_path, 60)
+    save_snapshot(snapshot, path)
+    assert "trace" in load_snapshot(path).state["streams"]
+    verify_roundtrip(straight, restore_simulation(path).run())
+
+
 def test_resume_in_fresh_process(tmp_path):
     """The real crash-recovery story: resume in a separate interpreter."""
     cfg = _config()
@@ -169,6 +192,20 @@ def test_oracle_catches_omitted_scheduler_rng(tmp_path):
     resumed = restore_simulation(snapshot).run()
     with pytest.raises(CheckpointError, match="first divergence"):
         verify_roundtrip(straight, resumed)
+
+
+def test_oracle_locates_a_divergence_outside_the_golden_series():
+    """Series the goldens do not hold (heatmaps, fault columns) are
+    compared too, and the report names the first divergent row."""
+    a = _run_straight(_config(), "round-robin")
+    heatmap = a.temp_heatmap.copy()
+    heatmap[42, 3] += 1.0
+    with pytest.raises(CheckpointError,
+                       match="first divergence in 'temp_heatmap' at row 42"):
+        verify_roundtrip(a, dataclasses.replace(a, temp_heatmap=heatmap))
+    with pytest.raises(CheckpointError,
+                       match="'melt_heatmap' present in only one run"):
+        verify_roundtrip(a, dataclasses.replace(a, melt_heatmap=None))
 
 
 def test_oracle_passes_silently_on_match():

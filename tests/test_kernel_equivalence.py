@@ -1,11 +1,11 @@
 """Kernel equivalence: the planned kernel is bit-identical, and engages.
 
 The reference is the per-tick chain (``Scheduler.place`` ->
-``Cluster.step`` -> ``MetricsCollector.record``) fired once per tick by
-the stepped driver; attaching a no-op observer forces any run onto it
-(``run_backend(..., "reference")``).  The planned kernel's contract is
-exact: same RNG stream consumption, same IEEE-754 operation order per
-element, same recorded series.  ``SimulationResult.fingerprint()`` (the
+``Cluster.advance`` -> ``MetricsCollector.fill_block``) fired once per
+tick by the stepped driver; attaching a no-op observer forces any run
+onto it (``run_backend(..., "reference")``).  The planned kernel's
+contract is exact: same RNG stream consumption, same IEEE-754 operation
+order per element, same recorded series.  ``SimulationResult.fingerprint()`` (the
 golden-trace hash) is the oracle throughout, so any single-bit drift in
 any recorded series fails these tests.
 
@@ -15,11 +15,12 @@ produced (fingerprint, dispatch count, pending events, engine clock)
 and the driver must reproduce it exactly.
 
 The suite also pins *dispatch*: clean open-loop runs (round-robin, and
-VMT-TA at every grouping value) must take the planned whole-run kernel,
-and every other run the stepped driver -- otherwise a
-silently-ineligible planned path would pass equivalence while
-delivering no speedup.  The retired ``backend`` keyword and
-``REPRO_BACKEND`` change nothing; a bad ``backend`` value still raises.
+VMT-TA at every grouping value, with or without an ambient profile) must
+take the planned whole-run kernel, and every other run the stepped
+driver -- otherwise a silently-ineligible planned path would pass
+equivalence while delivering no speedup.  The retired ``backend``
+keyword and ``REPRO_BACKEND`` change nothing; a bad ``backend`` value
+still raises.
 
 The default config (GV 22) never overflows a group, so the open-loop
 cases below add the ticks where VMT-TA spills across groups, the empty
@@ -51,7 +52,8 @@ from repro import api
 from repro.analysis.sweep import gv_sweep
 from repro.cluster.simulation import ClusterSimulation, run_simulation
 from repro.cluster.state import ClusterView
-from repro.config import (CoolingFaultSpec, FaultConfig, SensorFaultSpec,
+from repro.config import (AmbientConfig, AmbientEventSpec,
+                          CoolingFaultSpec, FaultConfig, SensorFaultSpec,
                           ServerConfig, ServerFaultSpec, SimulationConfig,
                           TraceConfig, paper_cluster_config)
 from repro.core.policies import SCHEDULER_NAMES, make_scheduler
@@ -166,6 +168,14 @@ ODD_STEP_PINS = {
     "vmt-ta": ("67f4ef5a46bee0f2", 488),
     "vmt-wa": ("6d50ffd55a431395", 488),
 }
+
+#: An active ambient profile: a diurnal swing plus one heat excursion
+#: that starts within the first hour, so every run of an hour or more
+#: sees both.
+AMBIENT = AmbientConfig(
+    diurnal_amplitude_c=3.0,
+    events=(AmbientEventSpec(start_hour=0.5, end_hour=3.0, delta_c=4.0,
+                             ramp_hours=0.5),))
 
 #: Open-loop runs beyond the default GV 22, which never overflows a
 #: group: (policy, servers, grouping value), keyed by test id.
@@ -474,16 +484,29 @@ class TestDispatch:
         assert sim.kernel_path == "planned"
 
     @pytest.mark.parametrize(
-        "policy, grouping_value",
-        [pytest.param("round-robin", 22.0, id="round-robin")]
+        "policy, grouping_value, ambient",
+        [pytest.param("round-robin", 22.0, None, id="round-robin")]
         # Hot group sizes 0, 1, ..., 8 of 8 servers.
-        + [pytest.param("vmt-ta", gv, id=f"vmt-ta-gv{gv:g}")
+        + [pytest.param("vmt-ta", gv, None, id=f"vmt-ta-gv{gv:g}")
            for gv in (1.0, 5.0, 10.0, 14.0, 18.0, 22.0, 26.0, 30.0,
-                      36.0)])
-    def test_open_loop_runs_are_planned(self, policy, grouping_value):
+                      36.0)]
+        # Under weather: hot group sizes 0, 4 and 8.
+        + [pytest.param("round-robin", 22.0, AMBIENT,
+                        id="round-robin-ambient")]
+        + [pytest.param("vmt-ta", gv, AMBIENT, id=f"vmt-ta-gv{gv:g}-ambient")
+           for gv in (1.0, 18.0, 36.0)])
+    def test_open_loop_runs_are_planned(self, policy, grouping_value,
+                                        ambient):
+        """With an ambient profile too: the block stage adds its inlet
+        offset at every tick, so the per-tick twin (forced by a no-op
+        observer) gives the same fingerprint."""
         config = small_config(num_servers=8, grouping_value=grouping_value)
-        _, sim = run_backend(config, policy, "fast")
+        if ambient is not None:
+            config = config.replace(ambient=ambient)
+        result, sim = run_backend(config, policy, "fast")
         assert sim.kernel_path == "planned"
+        twin, _ = run_backend(config, policy, "reference")
+        assert result.fingerprint() == twin.fingerprint()
 
     @pytest.mark.parametrize("policy", ("coolest-first", "vmt-preserve",
                                         "vmt-wa"))
@@ -816,11 +839,17 @@ class TestGeneratedCheckpointDifferential:
 class TestPlannedSegments:
     """``planned.advance`` stops at any tick with the reference state."""
 
-    @pytest.mark.parametrize("policy, every",
-                             [("vmt-ta", 60), ("round-robin", 45)])
+    @pytest.mark.parametrize("policy, every, ambient", [
+        pytest.param("vmt-ta", 60, None, id="vmt-ta-60"),
+        pytest.param("round-robin", 45, None, id="round-robin-45"),
+        pytest.param("vmt-ta", 50, AMBIENT, id="vmt-ta-50-ambient"),
+        pytest.param("round-robin", 45, AMBIENT,
+                     id="round-robin-45-ambient")])
     def test_checkpoints_equal_the_reference_run(self, policy, every,
-                                                 tmp_path):
+                                                 ambient, tmp_path):
         config = small_config()
+        if ambient is not None:
+            config = config.replace(ambient=ambient)
         sims, results = {}, {}
         for backend in ("reference", "fast"):
             sim = ClusterSimulation(

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from test_kernel_equivalence import (GENERATED_EXAMPLES,
+from test_kernel_equivalence import (AMBIENT, GENERATED_EXAMPLES,
                                      assert_state_trees_equal,
                                      generated_cases, per_tick)
 
@@ -294,6 +294,17 @@ class TestLiveRunnerGuards:
         bad_step = SyntheticArrivalFeed(10, 30.0, config.total_cores)
         with pytest.raises(SimulationError, match="step_seconds"):
             LiveRunner(config, "vmt-ta", bad_step)
+
+    def test_simulation_refuses_a_buffer_sized_for_another_cluster(self):
+        """A trace matrix built for another size is rescaled, but a live
+        buffer's rows have not arrived, so it cannot be."""
+        config = tiny_config()
+        buffer = LiveTraceBuffer(10, 60.0, config.total_cores * 2)
+        with pytest.raises(SimulationError,
+                           match=f"{config.total_cores * 2} cores, the "
+                                 f"cluster has {config.total_cores}"):
+            ClusterSimulation(config, make_scheduler("vmt-ta", config),
+                              trace=buffer)
 
     def test_live_refuses_fault_injection(self):
         import dataclasses
@@ -614,45 +625,49 @@ class TestSegmentPlanning:
 
 def live_case(index: int):
     """(servers, hours, gv, cadence, policy, forecaster, feed, horizon,
-    seed, every) of generated live run ``index``; ``horizon`` None runs
-    no MPC, and ``every`` None writes no checkpoints.  The policy cycles
-    through all five and the seed is the index (see
-    :func:`~test_kernel_equivalence.generated_cases`)."""
+    seed, every, ambient) of generated live run ``index``; ``horizon``
+    None runs no MPC, and ``every`` None writes no checkpoints.  The
+    policy cycles through all five and the seed is the index (see
+    :func:`~test_kernel_equivalence.generated_cases`); every third index
+    runs under :data:`~test_kernel_equivalence.AMBIENT`."""
     rng = random.Random(index)
     policy = SCHEDULER_NAMES[index % len(SCHEDULER_NAMES)]
     return (rng.randint(4, 16), rng.randint(1, 6), rng.uniform(1.0, 36.0),
             rng.randint(1, 90), policy, rng.choice(("oracle", "last-value")),
             rng.choice(("replay", "synthetic")),
             rng.choice((None, rng.randint(5, 60))), index,
-            rng.choice((None, rng.randint(1, 90))))
+            rng.choice((None, rng.randint(1, 90))), index % 3 == 0)
 
 
 class TestGeneratedLiveDifferential:
-    """Generated live runs.  Open-loop: planned segments == per-row path,
-    decision by decision.  Checkpointing: == the same stream without
-    checkpoints, every snapshot holds its tick's rows, and a resume from
-    one of them == the straight run.  With the oracle over a replay feed
-    and no MPC: == the batch run on the per-tick chain."""
+    """Generated live runs, a third of them under an ambient profile.
+    Open-loop: planned segments == per-row path, decision by decision.
+    Checkpointing: == the same stream without checkpoints, every
+    snapshot holds its tick's rows, and a resume from one of them == the
+    straight run.  With the oracle over a replay feed and no MPC: == the
+    batch run on the per-tick chain."""
 
     @given(case=generated_cases(live_case))
     @settings(max_examples=GENERATED_EXAMPLES, deadline=None,
               derandomize=True)
     @example(case=(6, 1, 22.0, 1, "vmt-ta", "last-value", "replay", 5, 3,
-                   None))
+                   None, False))
     # Hot group sizes 0 and n of 8 servers (Eq. 1, PMT 35.7 C).
     @example(case=(8, 2, 1.0, 30, "vmt-ta", "oracle", "replay", None, 7,
-                   None))
+                   None, False))
     @example(case=(8, 2, 36.0, 30, "vmt-ta", "oracle", "replay", None, 7,
-                   None))
+                   None, False))
     # A checkpoint between two decisions of a closed-loop MPC stream.
     @example(case=(6, 2, 22.0, 45, "vmt-wa", "last-value", "replay", 10,
-                   3, 40))
+                   3, 40, False))
     def test_planned_live_run_equals_per_row(self, case):
         (servers, hours, gv, cadence, policy, forecaster, feed, horizon,
-         seed, every) = case
+         seed, every, ambient) = case
         config = paper_cluster_config(
             num_servers=servers, grouping_value=gv, seed=seed).replace(
                 trace=TraceConfig(duration_hours=hours))
+        if ambient:
+            config = config.replace(ambient=AMBIENT)
         if feed == "synthetic" and horizon is not None:
             # The oracle forecasts only from a recorded trace.
             forecaster = "last-value"
